@@ -1,10 +1,12 @@
 // A4 — ablation: common-subexpression elimination in lowering. Iterative
-// statistical programs repeat structures (GNMF reuses W^T across its
-// numerator and denominator every iteration); CSE materializes each
-// shared subexpression once per value version.
+// statistical programs repeat structures; CSE materializes each shared
+// subexpression once per value version.
 //
-// Expectation: fewer jobs and less data written per iteration; the saved
-// work compounds linearly across unrolled iterations.
+// GNMF's only repeated materialized values used to be the transposes (W^T
+// in its numerator and denominator, H^T likewise). Multiplies now read a
+// transposed operand in place, so nothing is left to share: expect the
+// same jobs, bytes and time with CSE on and off. Programs that reuse a
+// whole product (cse_test) still save one job per reuse.
 
 #include "bench/bench_util.h"
 

@@ -10,8 +10,11 @@
 // `--kernels-only [--json FILE]` skips the cluster comparison and instead
 // measures the raw per-tile Gemm kernels (scalar register-blocked oracle
 // vs packed AVX2+FMA micro-kernel, DESIGN.md "Kernel architecture"),
-// reporting single-core GFLOP/s and the SIMD speedup. CI uploads the JSON
-// as the BENCH_kernels.json artifact to track kernel regressions.
+// reporting single-core GFLOP/s and the SIMD speedup, plus Gemm(A^T * B)
+// at 512^3 in both modes: a transposed operand is packed straight from its
+// stored tile, and this row is what that costs against the plain multiply.
+// CI uploads the JSON as the BENCH_kernels.json artifact to track kernel
+// regressions.
 
 #include <algorithm>
 #include <cstring>
@@ -97,20 +100,22 @@ void Run() {
 // --kernels-only: raw Gemm kernel throughput, scalar vs SIMD
 // ---------------------------------------------------------------------------
 
-/// Single-core GFLOP/s of `mode`'s Gemm on an n x n x n multiply,
-/// repeated until ~0.2s of work so small sizes are not timer-bound.
-double MeasureGemmGflops(KernelMode mode, int64_t n) {
+/// Single-core GFLOP/s of `mode`'s Gemm on an n x n x n multiply with A
+/// read in orientation `a_orient`, repeated until ~0.2s of work so small
+/// sizes are not timer-bound.
+double MeasureGemmGflops(KernelMode mode, int64_t n,
+                         Orientation a_orient = Orientation::kAsStored) {
   Rng rng(7);
   Tile a(n, n), b(n, n), c(n, n);
   FillGaussian(&a, &rng);
   FillGaussian(&b, &rng);
   const double flops = 2.0 * n * n * n;
-  Status st = Gemm(a, b, 1.0, 0.0, &c);  // warm caches, fault pages
+  Status st = Gemm(a, b, 1.0, 0.0, &c, a_orient);  // warm caches, fault pages
   CUMULON_CHECK(st.ok()) << st;
   const int reps = std::max<int>(1, static_cast<int>(2e9 / flops));
   Stopwatch sw;
   for (int r = 0; r < reps; ++r) {
-    st = GemmWithMode(mode, a, b, 1.0, 0.0, &c);
+    st = GemmWithMode(mode, a, b, 1.0, 0.0, &c, a_orient);
     CUMULON_CHECK(st.ok()) << st;
   }
   return flops * reps / sw.ElapsedSeconds() / 1e9;
@@ -138,6 +143,21 @@ void RunKernelsOnly(const std::string& json_path) {
                 row.simd_gflops, row.simd_gflops / row.scalar_gflops);
     rows.push_back(row);
   }
+  // A^T * B beside the plain n=512 row: the price of packing A from its
+  // stored tile with swapped strides instead of from a transposed copy.
+  const KernelRow& plain = rows[1];
+  CUMULON_CHECK(plain.n == 512);
+  const KernelRow at{plain.n,
+                     MeasureGemmGflops(KernelMode::kScalar, plain.n,
+                                       Orientation::kTransposed),
+                     MeasureGemmGflops(KernelMode::kSimd, plain.n,
+                                       Orientation::kTransposed)};
+  std::printf("%-12s %14.2f %14.2f %9.2fx\n", "512 (A^T B)",
+              at.scalar_gflops, at.simd_gflops,
+              at.simd_gflops / at.scalar_gflops);
+  std::printf("A^T B vs plain at 512: scalar %.2fx, simd %.2fx\n",
+              at.scalar_gflops / plain.scalar_gflops,
+              at.simd_gflops / plain.simd_gflops);
   if (json_path.empty()) return;
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   CUMULON_CHECK(f != nullptr) << "cannot write " << json_path;
@@ -152,7 +172,13 @@ void RunKernelsOnly(const std::string& json_path) {
                  rows[i].scalar_gflops, rows[i].simd_gflops,
                  rows[i].simd_gflops / rows[i].scalar_gflops);
   }
-  std::fprintf(f, "]}\n");
+  std::fprintf(f,
+               "],\"gemm_at_b\":{\"n\":%lld,\"scalar_gflops\":%.3f,"
+               "\"simd_gflops\":%.3f,\"scalar_vs_plain\":%.3f,"
+               "\"simd_vs_plain\":%.3f}}\n",
+               static_cast<long long>(at.n), at.scalar_gflops,
+               at.simd_gflops, at.scalar_gflops / plain.scalar_gflops,
+               at.simd_gflops / plain.simd_gflops);
   std::fclose(f);
   std::printf("kernel summary -> %s\n", json_path.c_str());
 }

@@ -17,8 +17,10 @@ struct TaskIoStats {
   /// read latency the prefetcher did not (fully) hide.
   double stall_seconds = 0.0;
 
-  /// Time blocked in synchronous Get calls issued by the task thread
-  /// itself (prefetch off, or a read that was never hinted).
+  /// Time blocked in synchronous reads on the task thread itself: Gets
+  /// (prefetch off, or a read that was never hinted) and hinted GetAsync
+  /// calls the store resolved before returning (a store without a
+  /// prefetch pool, or a cache hit).
   double sync_read_seconds = 0.0;
 
   int64_t async_awaits = 0;

@@ -157,7 +157,11 @@ std::string MatMulParams::ToString() const {
 // MatMulJob
 // ---------------------------------------------------------------------------
 
-MatMulJob::MatMulJob(std::string name, TiledMatrix a, TiledMatrix b,
+std::string MatMulOperand::ToString() const {
+  return transposed() ? StrCat(stored.name, "^T") : stored.name;
+}
+
+MatMulJob::MatMulJob(std::string name, MatMulOperand a, MatMulOperand b,
                      TiledMatrix out, MatMulParams params,
                      std::vector<EwStep> epilogue)
     : name_(std::move(name)),
@@ -168,7 +172,7 @@ MatMulJob::MatMulJob(std::string name, TiledMatrix a, TiledMatrix b,
       epilogue_(std::move(epilogue)) {}
 
 int64_t MatMulJob::NumKSplits() const {
-  const int64_t gk = a_.layout.grid_cols();
+  const int64_t gk = a_.layout().grid_cols();
   const int64_t bk =
       params_.bk <= 0 ? gk : std::min<int64_t>(params_.bk, gk);
   return (gk + bk - 1) / bk;
@@ -194,7 +198,7 @@ int64_t MatMulJob::TaskMemoryBytes(const TileLayout& a, const TileLayout& b,
 }
 
 std::vector<std::string> MatMulJob::InputMatrices() const {
-  std::vector<std::string> in = {a_.name, b_.name};
+  std::vector<std::string> in = {a_.stored.name, b_.stored.name};
   if (NumKSplits() == 1) AppendStepOperands(epilogue_, &in);
   return in;
 }
@@ -208,16 +212,18 @@ std::vector<std::string> MatMulJob::OutputMatrices() const {
 }
 
 std::string MatMulJob::DebugString() const {
-  return StrCat("MatMul[", name_, "] ", out_.name, " = ", a_.name, " * ",
-                b_.name, " (", params_.ToString(), ")",
+  return StrCat("MatMul[", name_, "] ", out_.name, " = ", a_.ToString(),
+                " * ", b_.ToString(), " (", params_.ToString(), ")",
                 epilogue_.empty() ? ""
                                   : StrCat(" epi{", EwChainToString(epilogue_),
                                            "}"));
 }
 
 Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
-  const TileLayout& la = a_.layout;
-  const TileLayout& lb = b_.layout;
+  // Shapes, splits and declared bytes work in the logical layouts of
+  // op(A) and op(B); only tile ids are mapped back to the stored ones.
+  const TileLayout la = a_.layout();
+  const TileLayout lb = b_.layout();
   const TileLayout& lc = out_.layout;
   if (la.cols() != lb.rows()) {
     return Status::InvalidArgument(
@@ -341,9 +347,11 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
         // --- Locality preference: where this task's inputs live ---
         if (ctx.query_locality && ctx.store != nullptr) {
           MergePreferred(&task.preferred_machines,
-                         ctx.store->PreferredNodes(a_.name, TileId{ib, k0}));
+                         ctx.store->PreferredNodes(a_.stored.name,
+                                                   a_.StoredId(ib, k0)));
           MergePreferred(&task.preferred_machines,
-                         ctx.store->PreferredNodes(b_.name, TileId{k0, jb}));
+                         ctx.store->PreferredNodes(b_.stored.name,
+                                                   b_.StoredId(k0, jb)));
         }
 
         // --- Real-mode work closure ---
@@ -351,8 +359,10 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
           TileStore* store = ctx.store;
           // Capture everything by value; the job object may not outlive
           // the engine run in all call patterns.
-          const TiledMatrix a = a_;
-          const TiledMatrix b = b_;
+          const MatMulOperand a = a_;
+          const MatMulOperand b = b_;
+          const TileLayout a_layout = la;
+          const TileLayout b_layout = lb;
           const TileLayout out_layout = lc;
           const std::vector<EwStep> epilogue =
               apply_epilogue ? epilogue_ : std::vector<EwStep>{};
@@ -361,21 +371,24 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
           const KernelMode kmode = ctx.kernel_mode;
           MemoryBudgetGroup* const mem = ctx.memory_budget;
           const int64_t pin_bytes = ctx.task_pin_bytes;
-          task.work = [store, a, b, out_layout, out_name, epilogue, ib, i1,
-                       jb, j1, k0, k1, budget, steal, kmode, mem, pin_bytes,
+          task.work = [store, a, b, a_layout, b_layout, out_layout, out_name,
+                       epilogue, ib, i1, jb, j1, k0, k1, budget, steal, kmode,
+                       mem, pin_bytes,
                        task_name = task.name](int machine) -> Status {
             MemoryBudget* const ledger =
                 mem != nullptr ? mem->node(machine) : nullptr;
             // One unit of work = one output tile (i,j): fold its k range,
             // run the epilogue, write the tile. Units write disjoint
             // tiles, so results do not depend on who executes them.
+            // Operand tiles are hinted, memoized and read under their
+            // stored ids: (k,i) for a transposed A.
             auto hint_unit = [&](TaskTileReader* reader, int64_t i,
                                  int64_t j) {
               for (int64_t k = k0; k < k1; ++k) {
-                reader->Hint(a.name, TileId{i, k},
-                             TileBytes(a.layout, i, k));
-                reader->Hint(b.name, TileId{k, j},
-                             TileBytes(b.layout, k, j));
+                reader->Hint(a.stored.name, a.StoredId(i, k),
+                             TileBytes(a_layout, i, k));
+                reader->Hint(b.stored.name, b.StoredId(k, j),
+                             TileBytes(b_layout, k, j));
               }
               HintEwStepOperands(epilogue, out_layout, TileId{i, j}, reader);
             };
@@ -387,12 +400,13 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
               for (int64_t k = k0; k < k1; ++k) {
                 CUMULON_ASSIGN_OR_RETURN(
                     std::shared_ptr<const Tile> ta,
-                    reader->ReadMemoized(a.name, TileId{i, k}));
+                    reader->ReadMemoized(a.stored.name, a.StoredId(i, k)));
                 CUMULON_ASSIGN_OR_RETURN(
                     std::shared_ptr<const Tile> tb,
-                    reader->ReadMemoized(b.name, TileId{k, j}));
-                CUMULON_RETURN_IF_ERROR(
-                    GemmWithMode(kmode, *ta, *tb, 1.0, 1.0, &acc));
+                    reader->ReadMemoized(b.stored.name, b.StoredId(k, j)));
+                CUMULON_RETURN_IF_ERROR(GemmWithMode(kmode, *ta, *tb, 1.0,
+                                                     1.0, &acc, a.orientation,
+                                                     b.orientation));
               }
               CUMULON_RETURN_IF_ERROR(RunEwSteps(epilogue, reader,
                                                  TileId{i, j}, &acc, kmode));

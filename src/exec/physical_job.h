@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/task.h"
@@ -11,6 +12,7 @@
 #include "cost/cost_model.h"
 #include "exec/ew_step.h"
 #include "matrix/kernel_config.h"
+#include "matrix/tile_ops.h"
 #include "matrix/tile_store.h"
 #include "matrix/tiled_matrix.h"
 
@@ -119,16 +121,50 @@ struct MatMulParams {
   std::string ToString() const;
 };
 
-/// C = A * B over tile grids, with an optional fused element-wise epilogue
-/// applied to each produced C tile. One task covers a (bi x bj)-tile block
-/// of C and a bk-tile range of k. When bk splits the k dimension into nk>1
-/// ranges, each task writes its partial products to PartialName(out, p) and
-/// the epilogue is deferred to the SumJob that merges the partials (see
-/// AddMatMul in physical_plan.h, which wires that follow-up job).
+/// One multiply operand: a stored matrix read either as stored or
+/// transposed. A transposed operand is never materialized: a task that
+/// needs tile (i,k) of op(X) = X^T reads stored tile (k,i), and Gemm packs
+/// it with swapped strides.
+struct MatMulOperand {
+  /// Implicit on purpose: a plain TiledMatrix is an as-stored operand.
+  MatMulOperand(TiledMatrix m, Orientation orient = Orientation::kAsStored)
+      : stored(std::move(m)), orientation(orient) {}
+
+  bool transposed() const {
+    return orientation == Orientation::kTransposed;
+  }
+
+  /// Layout of op(stored): what the multiply's shape checks, split
+  /// arithmetic and declared costs work in.
+  TileLayout layout() const {
+    return transposed() ? stored.layout.Transposed() : stored.layout;
+  }
+
+  /// The stored tile that holds tile (row, col) of op(stored).
+  TileId StoredId(int64_t row, int64_t col) const {
+    return transposed() ? TileId{col, row} : TileId{row, col};
+  }
+
+  /// "X", or "X^T" when transposed.
+  std::string ToString() const;
+
+  TiledMatrix stored;
+  Orientation orientation;
+};
+
+/// C = op(A) * op(B) over tile grids, with an optional fused element-wise
+/// epilogue applied to each produced C tile; op() reads an operand as
+/// stored or transposed (MatMulOperand). One task covers a (bi x bj)-tile
+/// block of C and a bk-tile range of k. When bk splits the k dimension
+/// into nk>1 ranges, each task writes its partial products to
+/// PartialName(out, p) and the epilogue is deferred to the SumJob that
+/// merges the partials (see AddMatMul in physical_plan.h, which wires that
+/// follow-up job).
 class MatMulJob : public PhysicalJob {
  public:
-  MatMulJob(std::string name, TiledMatrix a, TiledMatrix b, TiledMatrix out,
-            MatMulParams params, std::vector<EwStep> epilogue);
+  MatMulJob(std::string name, MatMulOperand a, MatMulOperand b,
+            TiledMatrix out, MatMulParams params,
+            std::vector<EwStep> epilogue);
 
   const std::string& name() const override { return name_; }
   Result<BuiltJob> Build(const BuildContext& ctx) const override;
@@ -142,8 +178,8 @@ class MatMulJob : public PhysicalJob {
   /// Structural accessors for the plan verifier's split-arithmetic pass
   /// (src/verify), which re-derives tile coverage from first principles.
   const MatMulParams& params() const { return params_; }
-  const TiledMatrix& a() const { return a_; }
-  const TiledMatrix& b() const { return b_; }
+  const MatMulOperand& a() const { return a_; }
+  const MatMulOperand& b() const { return b_; }
   const TiledMatrix& out() const { return out_; }
 
   /// Worst-case working set of one task: the input block a task buffers
@@ -158,7 +194,8 @@ class MatMulJob : public PhysicalJob {
 
  private:
   std::string name_;
-  TiledMatrix a_, b_, out_;
+  MatMulOperand a_, b_;
+  TiledMatrix out_;
   MatMulParams params_;
   std::vector<EwStep> epilogue_;
 };
@@ -240,6 +277,9 @@ class AggregateJob : public PhysicalJob {
 };
 
 /// out = in^T; tile (i,j) of the output is the transpose of tile (j,i).
+/// Lowering emits it only for a transpose no multiply consumes (an
+/// assigned `At = T(A)`, an element-wise operand); a multiply reads a
+/// transposed operand in place instead (MatMulOperand).
 class TransposeJob : public PhysicalJob {
  public:
   TransposeJob(std::string name, TiledMatrix in, TiledMatrix out,

@@ -13,7 +13,7 @@ std::string PhysicalPlan::DebugString() const {
   return out;
 }
 
-Status AddMatMul(const TiledMatrix& a, const TiledMatrix& b,
+Status AddMatMul(const MatMulOperand& a, const MatMulOperand& b,
                  const TiledMatrix& out, const MatMulParams& params,
                  std::vector<EwStep> epilogue, PhysicalPlan* plan) {
   const std::string job_name = StrCat("mm_", out.name);

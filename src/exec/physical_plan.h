@@ -36,11 +36,12 @@ struct PhysicalPlan {
   std::string DebugString() const;
 };
 
-/// Appends the job(s) computing out = A * B with the fused element-wise
-/// `epilogue`. With split-k parameters this is a MatMulJob producing
-/// partial-product matrices plus a SumJob merging them (the partials are
-/// registered as temporaries); otherwise a single MatMulJob.
-Status AddMatMul(const TiledMatrix& a, const TiledMatrix& b,
+/// Appends the job(s) computing out = op(A) * op(B) with the fused
+/// element-wise `epilogue`; each operand is read as stored or transposed
+/// in place (MatMulOperand). With split-k parameters this is a MatMulJob
+/// producing partial-product matrices plus a SumJob merging them (the
+/// partials are registered as temporaries); otherwise a single MatMulJob.
+Status AddMatMul(const MatMulOperand& a, const MatMulOperand& b,
                  const TiledMatrix& out, const MatMulParams& params,
                  std::vector<EwStep> epilogue, PhysicalPlan* plan);
 
@@ -49,7 +50,8 @@ Status AddEwChain(const TiledMatrix& in, const TiledMatrix& out,
                   std::vector<EwStep> steps, PhysicalPlan* plan,
                   int64_t tiles_per_task = 8);
 
-/// Appends a transpose job out = in^T.
+/// Appends a transpose job out = in^T. Only for a transpose no multiply
+/// consumes: a multiply reads its transposed operand in place.
 Status AddTranspose(const TiledMatrix& in, const TiledMatrix& out,
                     PhysicalPlan* plan, int64_t tiles_per_task = 8);
 

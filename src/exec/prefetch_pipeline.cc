@@ -101,8 +101,16 @@ void TaskTileReader::Pump() {
     const TileId id = next.id;
     pending_.pop_front();
     // GetAsync may itself consume a synchronous store (ready future); the
-    // bookkeeping is identical either way.
+    // bookkeeping is identical either way. A future that comes back
+    // resolved was read on this thread, so the call's time is a blocking
+    // read like Read's own synchronous fallback.
+    Stopwatch issued;
     flight.future = store_->GetAsync(matrix, id, machine_);
+    if (flight.future.ready()) {
+      TaskIoStats* io = TaskIoStats::Current();
+      io->sync_read_seconds += issued.ElapsedSeconds();
+      ++io->sync_reads;
+    }
     in_flight_bytes_ += flight.bytes;
     in_flight_.emplace(key, std::move(flight));
   }

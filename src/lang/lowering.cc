@@ -209,21 +209,37 @@ class Lowerer {
     return m;
   }
 
+  /// Lowers one multiply operand. Under fusion a transpose is read in
+  /// place by the multiply — its child is materialized, never the
+  /// transpose itself; otherwise (ablation A1's one-job-per-operator
+  /// plans) the transpose is a job of its own like any other operator.
+  Result<MatMulOperand> LowerMultiplyOperand(const ExprPtr& expr) {
+    if (options_.enable_fusion && expr->kind() == ExprKind::kTranspose) {
+      CUMULON_ASSIGN_OR_RETURN(TiledMatrix stored, LowerValue(expr->left()));
+      return MatMulOperand(std::move(stored), Orientation::kTransposed);
+    }
+    CUMULON_ASSIGN_OR_RETURN(TiledMatrix stored, LowerValue(expr));
+    return MatMulOperand(std::move(stored));
+  }
+
   /// Lowers a multiply with an already-collected epilogue into `out_name`.
   Result<TiledMatrix> LowerMultiply(const ExprPtr& mm,
                                     std::vector<EwStep> epilogue,
                                     const std::string& out_name) {
-    CUMULON_ASSIGN_OR_RETURN(TiledMatrix a, LowerValue(mm->left()));
-    CUMULON_ASSIGN_OR_RETURN(TiledMatrix b, LowerValue(mm->right()));
-    if (!InnerAligned(a.layout, b.layout)) {
+    CUMULON_ASSIGN_OR_RETURN(MatMulOperand a,
+                             LowerMultiplyOperand(mm->left()));
+    CUMULON_ASSIGN_OR_RETURN(MatMulOperand b,
+                             LowerMultiplyOperand(mm->right()));
+    const TileLayout la = a.layout();
+    const TileLayout lb = b.layout();
+    if (!InnerAligned(la, lb)) {
       return Status::InvalidArgument(
-          StrCat("tile grids misaligned for multiply: ", a.layout.ToString(),
-                 " * ", b.layout.ToString()));
+          StrCat("tile grids misaligned for multiply: ", la.ToString(),
+                 " * ", lb.ToString()));
     }
-    TiledMatrix out{out_name,
-                    TileLayout(a.layout.rows(), b.layout.cols(),
-                               a.layout.tile_rows(), b.layout.tile_cols())};
-    const MatMulParams params = ChooseMatMulParams(a.layout, b.layout);
+    TiledMatrix out{out_name, TileLayout(la.rows(), lb.cols(),
+                                         la.tile_rows(), lb.tile_cols())};
+    const MatMulParams params = ChooseMatMulParams(la, lb);
     CUMULON_RETURN_IF_ERROR(
         AddMatMul(a, b, out, params, std::move(epilogue), &plan_));
     return out;

@@ -22,15 +22,17 @@ struct LoweringOptions {
   int64_t tile_dim = 512;
 
   /// Fuse trailing element-wise operations into the multiply that feeds
-  /// them (Cumulon's fused-operator optimization; ablation A1 turns this
-  /// off to mimic one-job-per-op systems).
+  /// them, and let a multiply read a transposed operand in place instead
+  /// of materializing the transpose (Cumulon's fused-operator
+  /// optimization; ablation A1 turns this off to mimic one-job-per-op
+  /// systems).
   bool enable_fusion = true;
 
   /// Tiles per task for element-wise / transpose / sum jobs.
   int64_t ew_tiles_per_task = 8;
 
-  /// Reuse already-materialized subexpressions (e.g. the W^T shared by
-  /// GNMF's numerator and denominator) instead of recomputing them.
+  /// Reuse already-materialized subexpressions (e.g. a product that two
+  /// assignments both need) instead of recomputing them.
   bool enable_cse = true;
 
   /// Chooses MatMul split parameters given the job's tile-grid extents

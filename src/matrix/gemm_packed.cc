@@ -4,7 +4,6 @@
 
 #include "common/aligned_buffer.h"
 #include "common/logging.h"
-#include "common/strings.h"
 #include "matrix/kernel_config.h"
 
 /// The build has no global -mavx2/-mfma (the binary must run on any x86-64
@@ -114,36 +113,49 @@ CUMULON_TARGET_AVX2 void MicroKernel6x8(int64_t kc,
   _mm256_storeu_pd(c + 5 * ldc + 4, c51);
 }
 
-/// Packs A[ic : ic+mc_eff, pc : pc+kc_eff] into tight kPackMr-row panels:
-/// panel (ir / kPackMr) holds ap[p * mr_eff + ii] = alpha * A(ic+ir+ii,
-/// pc+p). Folding alpha here mirrors the scalar kernel's `av = alpha *
-/// a[kk]` so per-element rounding of the alpha product matches the oracle.
-void PackA(const double* a, int64_t lda, int64_t ic, int64_t mc_eff,
+/// Strides of a logical operand op(X) in its stored row-major tile, whose
+/// rows are `ld` doubles long: element (r, c) of op(X) is
+/// x[r * row + c * col]. A transposed operand swaps the two.
+struct Strides {
+  int64_t row;
+  int64_t col;
+};
+
+Strides OperandStrides(Orientation orient, int64_t ld) {
+  return orient == Orientation::kTransposed ? Strides{1, ld} : Strides{ld, 1};
+}
+
+/// Packs op(A)[ic : ic+mc_eff, pc : pc+kc_eff] into tight kPackMr-row
+/// panels: panel (ir / kPackMr) holds ap[p * mr_eff + ii] = alpha *
+/// op(A)(ic+ir+ii, pc+p). Folding alpha here mirrors the scalar kernel's
+/// `av = alpha * a[kk]` so per-element rounding of the alpha product
+/// matches the oracle.
+void PackA(const double* a, Strides s, int64_t ic, int64_t mc_eff,
            int64_t pc, int64_t kc_eff, double alpha, double* ap) {
   double* dst = ap;
   for (int64_t ir = 0; ir < mc_eff; ir += kPackMr) {
     const int64_t mr_eff = std::min<int64_t>(kPackMr, mc_eff - ir);
-    const double* src = a + (ic + ir) * lda + pc;
+    const double* src = a + (ic + ir) * s.row + pc * s.col;
     for (int64_t p = 0; p < kc_eff; ++p) {
       for (int64_t ii = 0; ii < mr_eff; ++ii) {
-        dst[p * mr_eff + ii] = alpha * src[ii * lda + p];
+        dst[p * mr_eff + ii] = alpha * src[ii * s.row + p * s.col];
       }
     }
     dst += kc_eff * mr_eff;
   }
 }
 
-/// Packs B[pc : pc+kc_eff, jc : jc+nc_eff] into tight kPackNr-column
-/// panels: bp[p * nr_eff + jj] = B(pc+p, jc+jr+jj).
-void PackB(const double* b, int64_t ldb, int64_t pc, int64_t kc_eff,
+/// Packs op(B)[pc : pc+kc_eff, jc : jc+nc_eff] into tight kPackNr-column
+/// panels: bp[p * nr_eff + jj] = op(B)(pc+p, jc+jr+jj).
+void PackB(const double* b, Strides s, int64_t pc, int64_t kc_eff,
            int64_t jc, int64_t nc_eff, double* bp) {
   double* dst = bp;
   for (int64_t jr = 0; jr < nc_eff; jr += kPackNr) {
     const int64_t nr_eff = std::min<int64_t>(kPackNr, nc_eff - jr);
-    const double* src = b + pc * ldb + jc + jr;
+    const double* src = b + pc * s.row + (jc + jr) * s.col;
     for (int64_t p = 0; p < kc_eff; ++p) {
       for (int64_t jj = 0; jj < nr_eff; ++jj) {
-        dst[p * nr_eff + jj] = src[p * ldb + jj];
+        dst[p * nr_eff + jj] = src[p * s.row + jj * s.col];
       }
     }
     dst += kc_eff * nr_eff;
@@ -180,14 +192,12 @@ AlignedVector<double>& PackBufferB() {
 }  // namespace
 
 Status GemmPackedAvx2(const Tile& a, const Tile& b, double alpha, double beta,
-                      Tile* c) {
-  if (a.cols() != b.rows() || a.rows() != c->rows() ||
-      b.cols() != c->cols()) {
-    return Status::InvalidArgument(
-        StrCat("gemm shape mismatch: A ", a.rows(), "x", a.cols(), ", B ",
-               b.rows(), "x", b.cols(), ", C ", c->rows(), "x", c->cols()));
-  }
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
+                      Tile* c, Orientation a_orient, Orientation b_orient) {
+  int64_t m = 0, k = 0, n = 0;
+  CUMULON_RETURN_IF_ERROR(
+      CheckGemmShapes(a, a_orient, b, b_orient, *c, &m, &k, &n));
+  const Strides as = OperandStrides(a_orient, a.cols());
+  const Strides bs = OperandStrides(b_orient, b.cols());
   double* cd = c->mutable_data();
   if (beta == 0.0) {
     std::fill(cd, cd + m * n, 0.0);
@@ -222,11 +232,11 @@ Status GemmPackedAvx2(const Tile& a, const Tile& b, double alpha, double beta,
     const int64_t n_full = (nc_eff / kPackNr) * kPackNr;
     for (int64_t pc = 0; pc < k; pc += kc) {
       const int64_t kc_eff = std::min(kc, k - pc);
-      PackB(bd, n, pc, kc_eff, jc, nc_eff, bp);
+      PackB(bd, bs, pc, kc_eff, jc, nc_eff, bp);
       for (int64_t ic = 0; ic < m; ic += mc) {
         const int64_t mc_eff = std::min(mc, m - ic);
         const int64_t m_full = (mc_eff / kPackMr) * kPackMr;
-        PackA(ad, k, ic, mc_eff, pc, kc_eff, alpha, ap);
+        PackA(ad, as, ic, mc_eff, pc, kc_eff, alpha, ap);
         for (int64_t jr = 0; jr < n_full; jr += kPackNr) {
           const double* bpanel = bp + (jr / kPackNr) * kc_eff * kPackNr;
           for (int64_t ir = 0; ir < m_full; ir += kPackMr) {
@@ -312,8 +322,9 @@ CUMULON_TARGET_AVX2 void ColSumsAvx2(const double* t, int64_t rows,
 // dispatcher never routes here; aborting keeps a miswired caller loud.
 
 Status GemmPackedAvx2(const Tile& a, const Tile& b, double alpha, double beta,
-                      Tile* c) {
-  (void)a, (void)b, (void)alpha, (void)beta, (void)c;
+                      Tile* c, Orientation a_orient, Orientation b_orient) {
+  (void)a, (void)b, (void)alpha, (void)beta, (void)c, (void)a_orient,
+      (void)b_orient;
   CUMULON_CHECK(false) << "packed AVX2 kernel not compiled into this binary";
   return Status::Internal("packed AVX2 kernel unavailable");
 }

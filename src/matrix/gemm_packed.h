@@ -22,15 +22,17 @@ namespace kernel_internal {
 /// functions below abort if called.
 bool PackedKernelCompiled();
 
-/// C = alpha*A*B + beta*C via BLIS-style packing: B panels repacked into
-/// 8-wide column strips (L1-resident), A blocks into 6-wide row strips
-/// (L2-resident, alpha folded in at pack time), 6x8 FMA register-tiled
-/// inner kernel, scalar tails for edge rows/cols. Reorder-safe: each C
-/// element accumulates its k terms in ascending order starting from the
-/// beta-scaled value, exactly like the scalar oracle — only FMA's fused
-/// rounding differs.
+/// C = alpha*op(A)*op(B) + beta*C via BLIS-style packing: B panels
+/// repacked into 8-wide column strips (L1-resident), A blocks into 6-wide
+/// row strips (L2-resident, alpha folded in at pack time), 6x8 FMA
+/// register-tiled inner kernel, scalar tails for edge rows/cols. A
+/// transposed operand is packed straight from its stored tile with
+/// swapped strides; the packed panels, and so every result bit, are the
+/// same as for a transposed copy. Reorder-safe: each C element accumulates
+/// its k terms in ascending order starting from the beta-scaled value,
+/// exactly like the scalar oracle — only FMA's fused rounding differs.
 Status GemmPackedAvx2(const Tile& a, const Tile& b, double alpha, double beta,
-                      Tile* c);
+                      Tile* c, Orientation a_orient, Orientation b_orient);
 
 /// o[i] = op(a[i], b[i]). Bit-identical to the scalar loop: one IEEE op per
 /// element, no FMA; max/min are compare+blend replicating std::max/min

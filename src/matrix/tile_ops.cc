@@ -138,36 +138,55 @@ double ApplyUnary(UnaryOp op, double x, double scalar) {
   return 0.0;
 }
 
-Status Gemm(const Tile& a, const Tile& b, double alpha, double beta, Tile* c) {
-  return GemmWithMode(KernelMode::kAuto, a, b, alpha, beta, c);
+Status Gemm(const Tile& a, const Tile& b, double alpha, double beta, Tile* c,
+            Orientation a_orient, Orientation b_orient) {
+  return GemmWithMode(KernelMode::kAuto, a, b, alpha, beta, c, a_orient,
+                      b_orient);
 }
 
 Status GemmWithMode(KernelMode mode, const Tile& a, const Tile& b,
-                    double alpha, double beta, Tile* c) {
+                    double alpha, double beta, Tile* c, Orientation a_orient,
+                    Orientation b_orient) {
   if (UseSimd(mode)) {
-    return kernel_internal::GemmPackedAvx2(a, b, alpha, beta, c);
+    return kernel_internal::GemmPackedAvx2(a, b, alpha, beta, c, a_orient,
+                                           b_orient);
   }
-  return GemmScalar(a, b, alpha, beta, c);
+  return GemmScalar(a, b, alpha, beta, c, a_orient, b_orient);
 }
 
-Status GemmScalar(const Tile& a, const Tile& b, double alpha, double beta,
-                  Tile* c) {
-  if (a.cols() != b.rows() || a.rows() != c->rows() || b.cols() != c->cols()) {
+Status CheckGemmShapes(const Tile& a, Orientation a_orient, const Tile& b,
+                       Orientation b_orient, const Tile& c, int64_t* m,
+                       int64_t* k, int64_t* n) {
+  const bool ta = a_orient == Orientation::kTransposed;
+  const bool tb = b_orient == Orientation::kTransposed;
+  *m = ta ? a.cols() : a.rows();
+  *k = ta ? a.rows() : a.cols();
+  *n = tb ? b.rows() : b.cols();
+  const int64_t kb = tb ? b.cols() : b.rows();
+  if (*k != kb || *m != c.rows() || *n != c.cols()) {
     return Status::InvalidArgument(
-        StrCat("gemm shape mismatch: A ", a.rows(), "x", a.cols(), ", B ",
-               b.rows(), "x", b.cols(), ", C ", c->rows(), "x", c->cols()));
+        StrCat("gemm shape mismatch: A", ta ? "^T " : " ", *m, "x", *k,
+               ", B", tb ? "^T " : " ", kb, "x", *n, ", C ", c.rows(), "x",
+               c.cols()));
   }
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  double* cd = c->mutable_data();
-  if (beta == 0.0) {
-    // Overwrite semantics: never read stale C memory (also avoids NaN/Inf
-    // leakage from uninitialized accumulators, since 0 * NaN != 0).
-    std::fill(cd, cd + m * n, 0.0);
-  } else if (beta != 1.0) {
-    for (int64_t i = 0; i < m * n; ++i) cd[i] *= beta;
-  }
-  const double* ad = a.data();
-  const double* bd = b.data();
+  return Status::OK();
+}
+
+namespace {
+
+/// The oracle's loop nest over op(A) (m x k) and op(B) (k x n). The
+/// orientations are template parameters, so each instantiation indexes
+/// its stored tiles with constant strides: op(A)(i, kk) is ad[i*k + kk]
+/// as stored and ad[kk*m + i] transposed, likewise for B. The arithmetic
+/// is identical in all four, which is what makes a transposed operand
+/// bit-identical to a transposed copy.
+template <bool kTransA, bool kTransB>
+void GemmScalarLoops(const double* ad, const double* bd, double alpha,
+                     int64_t m, int64_t k, int64_t n, double* cd) {
+  // Strides of op(A) along i and kk, and of op(B) along kk and j.
+  constexpr bool ta = kTransA, tb = kTransB;
+  const int64_t a_is = ta ? 1 : k, a_ks = ta ? m : 1;
+  const int64_t b_ks = tb ? 1 : n, b_js = tb ? k : 1;
   // i-k-j order with cache blocking, plus a 2x4 register block inside each
   // cache block: two C rows and four C columns live in registers across the
   // whole kk range, so each loaded B value feeds two FMAs and each A value
@@ -187,8 +206,8 @@ Status GemmScalar(const Tile& a, const Tile& b, double alpha, double beta,
         for (; i + 1 < i1; i += 2) {
           double* __restrict c0 = cd + i * n;
           double* __restrict c1 = cd + (i + 1) * n;
-          const double* __restrict a0 = ad + i * k;
-          const double* __restrict a1 = ad + (i + 1) * k;
+          const double* __restrict a0 = ad + i * a_is;
+          const double* __restrict a1 = ad + (i + 1) * a_is;
           int64_t j = j0;
           for (; j + 3 < j1; j += 4) {
             double s00 = c0[j], s01 = c0[j + 1];
@@ -196,17 +215,17 @@ Status GemmScalar(const Tile& a, const Tile& b, double alpha, double beta,
             double s10 = c1[j], s11 = c1[j + 1];
             double s12 = c1[j + 2], s13 = c1[j + 3];
             for (int64_t kk = k0; kk < k1; ++kk) {
-              const double av0 = alpha * a0[kk];
-              const double av1 = alpha * a1[kk];
-              const double* __restrict brow = bd + kk * n;
-              s00 += av0 * brow[j];
-              s01 += av0 * brow[j + 1];
-              s02 += av0 * brow[j + 2];
-              s03 += av0 * brow[j + 3];
-              s10 += av1 * brow[j];
-              s11 += av1 * brow[j + 1];
-              s12 += av1 * brow[j + 2];
-              s13 += av1 * brow[j + 3];
+              const double av0 = alpha * a0[kk * a_ks];
+              const double av1 = alpha * a1[kk * a_ks];
+              const double* __restrict brow = bd + kk * b_ks;
+              s00 += av0 * brow[j * b_js];
+              s01 += av0 * brow[(j + 1) * b_js];
+              s02 += av0 * brow[(j + 2) * b_js];
+              s03 += av0 * brow[(j + 3) * b_js];
+              s10 += av1 * brow[j * b_js];
+              s11 += av1 * brow[(j + 1) * b_js];
+              s12 += av1 * brow[(j + 2) * b_js];
+              s13 += av1 * brow[(j + 3) * b_js];
             }
             c0[j] = s00;
             c0[j + 1] = s01;
@@ -220,11 +239,11 @@ Status GemmScalar(const Tile& a, const Tile& b, double alpha, double beta,
           for (; j < j1; ++j) {
             double s0 = c0[j], s1 = c1[j];
             for (int64_t kk = k0; kk < k1; ++kk) {
-              const double av0 = alpha * a0[kk];
-              const double av1 = alpha * a1[kk];
-              const double* __restrict brow = bd + kk * n;
-              s0 += av0 * brow[j];
-              s1 += av1 * brow[j];
+              const double av0 = alpha * a0[kk * a_ks];
+              const double av1 = alpha * a1[kk * a_ks];
+              const double* __restrict brow = bd + kk * b_ks;
+              s0 += av0 * brow[j * b_js];
+              s1 += av1 * brow[j * b_js];
             }
             c0[j] = s0;
             c1[j] = s1;
@@ -232,18 +251,18 @@ Status GemmScalar(const Tile& a, const Tile& b, double alpha, double beta,
         }
         for (; i < i1; ++i) {
           double* __restrict crow = cd + i * n;
-          const double* __restrict arow = ad + i * k;
+          const double* __restrict arow = ad + i * a_is;
           int64_t j = j0;
           for (; j + 3 < j1; j += 4) {
             double s0 = crow[j], s1 = crow[j + 1];
             double s2 = crow[j + 2], s3 = crow[j + 3];
             for (int64_t kk = k0; kk < k1; ++kk) {
-              const double av = alpha * arow[kk];
-              const double* __restrict brow = bd + kk * n;
-              s0 += av * brow[j];
-              s1 += av * brow[j + 1];
-              s2 += av * brow[j + 2];
-              s3 += av * brow[j + 3];
+              const double av = alpha * arow[kk * a_ks];
+              const double* __restrict brow = bd + kk * b_ks;
+              s0 += av * brow[j * b_js];
+              s1 += av * brow[(j + 1) * b_js];
+              s2 += av * brow[(j + 2) * b_js];
+              s3 += av * brow[(j + 3) * b_js];
             }
             crow[j] = s0;
             crow[j + 1] = s1;
@@ -253,14 +272,42 @@ Status GemmScalar(const Tile& a, const Tile& b, double alpha, double beta,
           for (; j < j1; ++j) {
             double s = crow[j];
             for (int64_t kk = k0; kk < k1; ++kk) {
-              const double av = alpha * arow[kk];
-              s += av * bd[kk * n + j];
+              const double av = alpha * arow[kk * a_ks];
+              s += av * bd[kk * b_ks + j * b_js];
             }
             crow[j] = s;
           }
         }
       }
     }
+  }
+}
+
+}  // namespace
+
+Status GemmScalar(const Tile& a, const Tile& b, double alpha, double beta,
+                  Tile* c, Orientation a_orient, Orientation b_orient) {
+  int64_t m = 0, k = 0, n = 0;
+  CUMULON_RETURN_IF_ERROR(
+      CheckGemmShapes(a, a_orient, b, b_orient, *c, &m, &k, &n));
+  double* cd = c->mutable_data();
+  if (beta == 0.0) {
+    // Overwrite semantics: never read stale C memory (also avoids NaN/Inf
+    // leakage from uninitialized accumulators, since 0 * NaN != 0).
+    std::fill(cd, cd + m * n, 0.0);
+  } else if (beta != 1.0) {
+    for (int64_t i = 0; i < m * n; ++i) cd[i] *= beta;
+  }
+  const bool ta = a_orient == Orientation::kTransposed;
+  const bool tb = b_orient == Orientation::kTransposed;
+  if (ta && tb) {
+    GemmScalarLoops<true, true>(a.data(), b.data(), alpha, m, k, n, cd);
+  } else if (ta) {
+    GemmScalarLoops<true, false>(a.data(), b.data(), alpha, m, k, n, cd);
+  } else if (tb) {
+    GemmScalarLoops<false, true>(a.data(), b.data(), alpha, m, k, n, cd);
+  } else {
+    GemmScalarLoops<false, false>(a.data(), b.data(), alpha, m, k, n, cd);
   }
   return Status::OK();
 }

@@ -38,23 +38,41 @@ const char* UnaryOpName(UnaryOp op);
 double ApplyBinary(BinaryOp op, double a, double b);
 double ApplyUnary(UnaryOp op, double x, double scalar);
 
-/// C = alpha * A * B + beta * C (dense GEMM).
-/// Shape requirements: A is m x k, B is k x n, C is m x n.
+/// How Gemm reads an operand tile: as stored, or as its transpose. A
+/// transposed operand is read in place with swapped strides — no
+/// transposed copy of the tile is ever made.
+enum class Orientation { kAsStored, kTransposed };
+
+/// C = alpha * op(A) * op(B) + beta * C (dense GEMM), where op(X) is X or
+/// X^T per the operand's orientation.
+/// Shape requirements: op(A) is m x k, op(B) is k x n, C is m x n.
 /// Dispatches at runtime (KernelMode::kAuto): the packed AVX2+FMA kernel
 /// when the CPU supports it, the scalar oracle otherwise. Both accumulate
 /// each C element's k terms in ascending order; the SIMD path differs only
-/// by FMA's fused rounding.
-Status Gemm(const Tile& a, const Tile& b, double alpha, double beta, Tile* c);
+/// by FMA's fused rounding. Orientation never changes the arithmetic, so
+/// a transposed operand gives bits identical to TransposeTile + Gemm.
+Status Gemm(const Tile& a, const Tile& b, double alpha, double beta, Tile* c,
+            Orientation a_orient = Orientation::kAsStored,
+            Orientation b_orient = Orientation::kAsStored);
 
 /// Gemm through an explicit kernel mode (executor plumbing / tests /
 /// benches). kSimd falls back to scalar when the CPU lacks AVX2+FMA.
 Status GemmWithMode(KernelMode mode, const Tile& a, const Tile& b,
-                    double alpha, double beta, Tile* c);
+                    double alpha, double beta, Tile* c,
+                    Orientation a_orient = Orientation::kAsStored,
+                    Orientation b_orient = Orientation::kAsStored);
 
 /// The register-blocked scalar kernel — the bit-exactness oracle the SIMD
 /// path is tested against. Never vectorized, never FMA-contracted.
 Status GemmScalar(const Tile& a, const Tile& b, double alpha, double beta,
-                  Tile* c);
+                  Tile* c, Orientation a_orient = Orientation::kAsStored,
+                  Orientation b_orient = Orientation::kAsStored);
+
+/// Checks op(A) * op(B) -> C shapes; returns the (m, k, n) of the product
+/// through the out-parameters. Shared by both Gemm kernels.
+Status CheckGemmShapes(const Tile& a, Orientation a_orient, const Tile& b,
+                       Orientation b_orient, const Tile& c, int64_t* m,
+                       int64_t* k, int64_t* n);
 
 /// out[i] = ApplyBinary(op, a[i], b[i]). Shapes must match.
 /// Auto-dispatches to the AVX2 path when available; the vector EW kernels

@@ -402,14 +402,21 @@ void CheckSplit(const MatMulParams& params, int64_t gi, int64_t gj,
   if (params.bk > 0) covers(gk, params.bk, "k");
 }
 
+/// Split arithmetic over the job's logical grid: op(A) is gi x gk and
+/// op(B) is gk x gj, whichever way each operand is stored.
+void CheckJobSplit(const MatMulJob& mm, const std::string& where,
+                   VerifyReport* report) {
+  const TileLayout la = mm.a().layout();
+  CheckSplit(mm.params(), la.grid_rows(), mm.b().layout().grid_cols(),
+             la.grid_cols(), where, report);
+}
+
 /// True when this MatMul job's split parameters are well-formed; used both
 /// as the split pass and as the coverage pass's guard (a bi=0 job would
 /// hang Build's blocking loops, so it must never reach them).
 bool MatMulSplitOk(const MatMulJob& mm) {
   VerifyReport scratch;
-  CheckSplit(mm.params(), mm.a().layout.grid_rows(),
-             mm.b().layout.grid_cols(), mm.a().layout.grid_cols(), "",
-             &scratch);
+  CheckJobSplit(mm, "", &scratch);
   return scratch.ok();
 }
 
@@ -418,9 +425,7 @@ void PassPlanSplits(const PhysicalPlan& plan, const PlanVerifyOptions&,
   for (const auto& job : plan.jobs) {
     const auto* mm = dynamic_cast<const MatMulJob*>(job.get());
     if (mm == nullptr) continue;
-    CheckSplit(mm->params(), mm->a().layout.grid_rows(),
-               mm->b().layout.grid_cols(), mm->a().layout.grid_cols(),
-               StrCat("job '", mm->name(), "'"), report);
+    CheckJobSplit(*mm, StrCat("job '", mm->name(), "'"), report);
   }
 }
 

@@ -212,13 +212,18 @@ TEST(BroadcastLangTest, EndToEndColumnCentering) {
 }
 
 TEST(BroadcastLangTest, CseSharesRepeatedSubexpressions) {
-  // T(W) appears twice; with CSE it lowers to one transpose job.
-  auto count_transposes = [](bool cse) {
+  // W^T V feeds two multiplies; with CSE it is materialized once. The
+  // transposes are read in place, so neither plan has a transpose job.
+  struct JobCounts {
+    int multiplies = 0;
+    int transposes = 0;
+  };
+  auto count_jobs = [](bool cse) {
     Program p;
     auto w = Expr::Input("W", 16, 8);
     auto v = Expr::Input("V", 16, 16);
-    p.Assign("N", T(w) * v);
-    p.Assign("D", T(w) * w);
+    p.Assign("N", (T(w) * v) * T(v));
+    p.Assign("D", (T(w) * v) * w);
     std::map<std::string, TiledMatrix> bindings = {
         {"W", {"W", TileLayout::Square(16, 8, 8)}},
         {"V", {"V", TileLayout::Square(16, 16, 8)}},
@@ -228,16 +233,20 @@ TEST(BroadcastLangTest, CseSharesRepeatedSubexpressions) {
     lowering.enable_cse = cse;
     auto lowered = Lower(p, bindings, lowering);
     CUMULON_CHECK(lowered.ok()) << lowered.status();
-    int transposes = 0;
+    JobCounts counts;
     for (const auto& job : lowered->plan.jobs) {
-      if (job->DebugString().find("Transpose") != std::string::npos) {
-        ++transposes;
-      }
+      const std::string text = job->DebugString();
+      if (text.rfind("MatMul", 0) == 0) ++counts.multiplies;
+      if (text.rfind("Transpose", 0) == 0) ++counts.transposes;
     }
-    return transposes;
+    return counts;
   };
-  EXPECT_EQ(count_transposes(true), 1);
-  EXPECT_EQ(count_transposes(false), 2);
+  const JobCounts shared = count_jobs(true);
+  const JobCounts unshared = count_jobs(false);
+  EXPECT_EQ(shared.multiplies, 3);
+  EXPECT_EQ(unshared.multiplies, 4);
+  EXPECT_EQ(shared.transposes, 0);
+  EXPECT_EQ(unshared.transposes, 0);
 }
 
 }  // namespace

@@ -245,6 +245,92 @@ TEST(GemmKernelTest, FuzzSimdVsScalar) {
 }
 
 // ---------------------------------------------------------------------------
+// Gemm operand orientation: reading X^T in place equals TransposeTile + Gemm
+// ---------------------------------------------------------------------------
+
+/// The tile a multiply operand is stored as: op(X) = X^T is stored as X.
+Tile StoredAs(const Tile& logical, Orientation orient) {
+  if (orient == Orientation::kAsStored) return logical;
+  Tile stored(logical.cols(), logical.rows());
+  CUMULON_CHECK(TransposeTile(logical, &stored).ok());
+  return stored;
+}
+
+TEST(GemmOrientationTest, InPlaceTransposesMatchTransposedCopies) {
+  // Every orientation pair, both kernels, every edge shape, alpha/beta
+  // including beta = 0 over a NaN-poisoned C, and two blockings (the
+  // default and one small enough that the packed kernel packs transposed
+  // sources across several mc/nc/kc blocks). The reference multiplies the
+  // TransposeTile copies as stored; the in-place result must match it bit
+  // for bit.
+  const KernelConfig saved = GetKernelConfig();
+  KernelConfig tiny = saved;
+  tiny.pack_mc = 2 * kPackMr;
+  tiny.pack_nc = 2 * kPackNr;
+  tiny.pack_kc = 16;
+  tiny.cache_block = 16;
+  const Orientation kOrients[] = {Orientation::kAsStored,
+                                  Orientation::kTransposed};
+  Rng rng(41);
+  for (const KernelConfig& cfg : {saved, tiny}) {
+    SetKernelConfig(cfg);
+    for (KernelMode mode : {KernelMode::kScalar, KernelMode::kSimd}) {
+      for (const GemmShape& s : kEdgeShapes) {
+        for (Orientation ao : kOrients) {
+          for (Orientation bo : kOrients) {
+            for (auto [alpha, beta] : std::vector<std::pair<double, double>>{
+                     {1.0, 0.0}, {-0.75, 1.0}, {0.5, 2.5}}) {
+              const Tile a = RandomTile(s.m, s.k, &rng);  // op(A)
+              const Tile b = RandomTile(s.k, s.n, &rng);  // op(B)
+              const Tile a_stored = StoredAs(a, ao);
+              const Tile b_stored = StoredAs(b, bo);
+              Tile c0 = RandomTile(s.m, s.n, &rng);
+              if (beta == 0.0) {
+                FillTile(&c0, std::numeric_limits<double>::quiet_NaN());
+              }
+              Tile expected = c0;
+              Tile got = c0;
+              ASSERT_TRUE(
+                  GemmWithMode(mode, a, b, alpha, beta, &expected).ok());
+              ASSERT_TRUE(GemmWithMode(mode, a_stored, b_stored, alpha, beta,
+                                       &got, ao, bo)
+                              .ok());
+              SCOPED_TRACE(::testing::Message()
+                           << KernelModeName(mode) << " " << s.m << "x"
+                           << s.k << "x" << s.n << " A"
+                           << (ao == Orientation::kTransposed ? "^T" : "")
+                           << " B"
+                           << (bo == Orientation::kTransposed ? "^T" : "")
+                           << " alpha=" << alpha << " beta=" << beta);
+              ExpectBitIdentical(expected, got);
+            }
+          }
+        }
+      }
+    }
+  }
+  SetKernelConfig(saved);
+}
+
+TEST(GemmOrientationTest, TransposedShapeMismatchIsRejected) {
+  // A stored 4 x 6 read transposed is 6 x 4: it multiplies a 4 x n B, not
+  // the 6 x n one its stored shape would suggest.
+  Tile a(4, 6), b_ok(4, 5), b_bad(6, 5), c(6, 5);
+  FillTile(&a, 1.0);
+  FillTile(&b_ok, 1.0);
+  FillTile(&b_bad, 1.0);
+  for (KernelMode mode : {KernelMode::kScalar, KernelMode::kSimd}) {
+    EXPECT_TRUE(GemmWithMode(mode, a, b_ok, 1.0, 0.0, &c,
+                             Orientation::kTransposed)
+                    .ok());
+    EXPECT_EQ(GemmWithMode(mode, a, b_bad, 1.0, 0.0, &c,
+                           Orientation::kTransposed)
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Element-wise / aggregate kernels: bit-identical across modes
 // ---------------------------------------------------------------------------
 

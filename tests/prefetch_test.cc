@@ -333,6 +333,39 @@ TEST(TaskTileReaderTest, MemoServesRepeatedReadsOnce) {
   EXPECT_EQ(store.sync_gets, 1) << "second read must come from the memo";
 }
 
+TEST(TaskTileReaderTest, BlockingHintedReadsCountAsStall) {
+  // No EnablePrefetch, but the executor's default prefetch window: every
+  // hint issues a GetAsync that reads synchronously on the task thread.
+  // Each of those DFS reads sleeps the 2 ms latency there, and all of it
+  // is task stall.
+  constexpr double kLatency = 0.002;
+  SimDfs dfs(SlowDfs(kLatency));
+  DfsTileStore store(&dfs, /*verify_checksums=*/false);
+  TiledMatrix a{"A", TileLayout::Square(64, 64, 16)};
+  TiledMatrix b{"B", TileLayout::Square(64, 64, 16)};
+  TiledMatrix c{"C", TileLayout::Square(64, 64, 16)};
+  Rng rng(3);
+  ASSERT_TRUE(GenerateMatrix(a, FillKind::kGaussian, 0, &rng, &store).ok());
+  ASSERT_TRUE(GenerateMatrix(b, FillKind::kGaussian, 0, &rng, &store).ok());
+
+  RealEngine engine(ClusterConfig{MachineProfile{}, 2, 2},
+                    RealEngineOptions{});
+  TileOpCostModel cost;
+  ExecutorOptions exec_options;
+  exec_options.job_startup_seconds = 0.0;
+  ASSERT_GT(exec_options.prefetch_budget_bytes, 0) << "default window";
+  Executor executor(&store, &engine, &cost, exec_options);
+  PhysicalPlan plan;
+  ASSERT_TRUE(AddMatMul(a, b, c, MatMulParams{1, 1, 0}, {}, &plan).ok());
+
+  const int64_t reads_before = dfs.TotalStats().reads;
+  auto stats = executor.Run(plan);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  const int64_t reads = dfs.TotalStats().reads - reads_before;
+  ASSERT_GT(reads, 0);
+  EXPECT_GE(stats->stall_seconds, static_cast<double>(reads) * kLatency);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: outputs must be bit-identical with prefetch on and off, over
 // every job type (matmul with split-k + epilogue, sum, ew chain, aggregate,

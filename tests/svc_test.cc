@@ -1,4 +1,5 @@
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -468,11 +469,23 @@ TEST(ServiceTest, StatsReportQueueAndFleet) {
 
 class ServiceDrainTest : public ::testing::Test {
  protected:
+  // One state directory per test case and process: ctest runs the cases
+  // in parallel, and a shared directory would let one case's drain file
+  // be restored by another.
   ServiceDrainTest() {
-    state_dir_ = testing::TempDir() + "svc_drain_test";
-    std::remove((state_dir_ + "/queued_plans.json").c_str());
+    state_dir_ = testing::TempDir() + "svc_drain_" +
+                 testing::UnitTest::GetInstance()->current_test_info()->name() +
+                 "_" + std::to_string(getpid());
+    std::remove(DrainFile().c_str());
     (void)mkdir(state_dir_.c_str(), 0755);
   }
+
+  ~ServiceDrainTest() override {
+    std::remove(DrainFile().c_str());
+    (void)rmdir(state_dir_.c_str());
+  }
+
+  std::string DrainFile() const { return state_dir_ + "/queued_plans.json"; }
 
   std::string state_dir_;
 };

@@ -212,6 +212,28 @@ TEST(VerifyPlanTest, SkewedTileDimensionCaught) {
   EXPECT_TRUE(report.Has("verify.plan.build")) << report.ToString();
 }
 
+TEST(VerifyPlanTest, FlippedOperandOrientationCaught) {
+  // T = A^T * B with A stored 16 x 32, so op(A) is 32 x 16. Flipping the
+  // non-square operand to as-stored makes op(A) 16 x 32, whose inner
+  // dimension no longer meets B's rows: Build refuses the job.
+  TiledMatrix a{"A", TileLayout::Square(16, 32, kTile)};
+  TiledMatrix b{"B", TileLayout::Square(16, 32, kTile)};
+  PhysicalPlan plan;
+  CUMULON_CHECK(AddMatMul(MatMulOperand(a, Orientation::kTransposed), b,
+                          Square("T", 32), MatMulParams{}, {}, &plan)
+                    .ok());
+  const VerifyReport clean = VerifyPlan(plan, ExternalOptions({"A", "B"}));
+  EXPECT_TRUE(clean.ok()) << clean.ToString();
+
+  const auto& mm = dynamic_cast<const MatMulJob&>(*plan.jobs[0]);
+  plan.jobs[0] = std::make_unique<MatMulJob>(
+      mm.name(), MatMulOperand(mm.a().stored, Orientation::kAsStored),
+      mm.b(), mm.out(), mm.params(), std::vector<EwStep>{});
+  const VerifyReport report = VerifyPlan(plan, ExternalOptions({"A", "B"}));
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.Has("verify.plan.build")) << report.ToString();
+}
+
 TEST(VerifyPlanTest, MalformedSplitCaught) {
   PhysicalPlan plan;
   CUMULON_CHECK(AddMatMul(Square("A", 32), Square("B", 32), Square("T", 32),
