@@ -84,10 +84,6 @@ Outcome RunReal(int64_t memory_budget_bytes) {
   exec_options.job_startup_seconds = 0.0;
   exec_options.prefetch_budget_bytes = 2 * TileMem();
   exec_options.memory_budget_bytes = memory_budget_bytes;
-  // Classic task-wide readers: stolen splits would each open a private
-  // reader and never revisit (so never re-fetch) a spilled panel, hiding
-  // exactly the traffic this sweep measures.
-  exec_options.enable_work_stealing = false;
   Executor executor(&store, &engine, &cost, exec_options);
 
   PhysicalPlan plan;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "cloud/revocation.h"
-#include "cluster/steal_domain.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/stopwatch.h"
@@ -132,11 +131,6 @@ Result<JobStats> RealEngine::RunJob(const JobSpec& job) {
       tracer->AddSpan(std::move(span));
     }
   };
-
-  // Work stealing: arm the per-job accounting before any task can start,
-  // so helper drains submitted below don't observe a stale zero and exit.
-  StealDomain* steal = job.steal_domain;
-  if (steal != nullptr) steal->BeginJob(job.tasks.size(), trace_t0);
 
   bool cancelled = false;
   size_t submitted = 0;
@@ -267,30 +261,9 @@ Result<JobStats> RealEngine::RunJob(const JobSpec& job) {
         tracer->AddSpan(std::move(span));
       }
       if (job.slot_pool != nullptr) job.slot_pool->Release(job.plan_id);
-      if (job.steal_domain != nullptr) job.steal_domain->NoteTaskFinished();
       MutexLock lock(&sync.mu);
       if (--sync.remaining == 0) sync.done_cv.NotifyAll();
     });
-  }
-  if (steal != nullptr && cancelled) {
-    steal->ReduceExpected(job.tasks.size() - submitted);
-  }
-  // Helper drains: one per pool worker, queued behind the tasks, so any
-  // worker that runs out of tasks serves the remaining tasks' splits until
-  // the job finishes. Skipped in multi-tenant mode (see JobSpec) — there,
-  // stealing happens only between concurrently running tasks.
-  if (steal != nullptr && job.slot_pool == nullptr && submitted > 0) {
-    for (int h = 0; h < pool_->num_threads(); ++h) {
-      {
-        MutexLock lock(&sync.mu);
-        ++sync.remaining;
-      }
-      pool_->Submit([&sync, steal]() {
-        steal->HelpDrain();
-        MutexLock lock(&sync.mu);
-        if (--sync.remaining == 0) sync.done_cv.NotifyAll();
-      });
-    }
   }
   Status first_error;
   std::vector<double> wasted_draws;

@@ -11,8 +11,7 @@
 
 namespace cumulon {
 
-class SlotPool;     // sched/slot_pool.h; engines only hold a borrowed pointer
-class StealDomain;  // cluster/steal_domain.h; borrowed, owned by the executor
+class SlotPool;  // sched/slot_pool.h; engines only hold a borrowed pointer
 
 /// Declared resource demands of one task, used by the simulator / cost
 /// model to derive its duration on a given machine.
@@ -76,13 +75,6 @@ struct JobSpec {
   /// engines stamp it as every task span's parent so nesting stays correct
   /// when several plans trace concurrently. 0 = let the tracer infer.
   int64_t trace_parent_span = 0;
-
-  /// Intra-job work stealing (cluster/steal_domain.h). When set, the real
-  /// engine arms the domain's per-job accounting and submits helper drains
-  /// so idle workers serve straggler tasks' splits. Helpers are skipped
-  /// under a slot_pool: a parked helper would hold a leased worker while
-  /// other tenants' tasks queue behind it. Borrowed; null = no stealing.
-  StealDomain* steal_domain = nullptr;
 };
 
 /// Where and when one task ran.
@@ -136,13 +128,6 @@ struct JobStats {
   /// Sum of TaskRunInfo::stall_seconds over the job — how much task time
   /// was I/O wait the prefetch pipeline did not hide.
   double stall_seconds = 0.0;
-
-  // Intra-job work-stealing activity during the job (the executor fills
-  // these from the StealDomain's counter deltas around RunJob; all zero
-  // when stealing is off). Surfaced as exec.steal.* metrics.
-  int64_t splits_enqueued = 0;
-  int64_t splits_stolen = 0;
-  int64_t steal_attempts = 0;
 
   // Out-of-core streaming activity during the job (the executor fills
   // these from the MemoryBudgetGroup's counter deltas around RunJob; all

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 
-#include "cluster/steal_domain.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "sched/slot_pool.h"
@@ -81,21 +80,13 @@ Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
   // exec.* values from the per-run registry instead.
   MetricsRegistry run_metrics;
   const MetricsSnapshot before = metrics_->Snapshot();
-  // One stealing scope per run: task closures capture a borrowed pointer,
-  // and every closure has finished (the engine's completion latch) before
-  // Run returns, so the domain safely lives on this frame. Real mode only —
-  // sim tasks have no work to split.
-  std::unique_ptr<StealDomain> steal;
-  if (options_.real_mode && options_.enable_work_stealing) {
-    steal = std::make_unique<StealDomain>(
-        engine_->config().total_slots(),
-        options_.tracer != nullptr ? options_.tracer : GlobalTracer());
-  }
-  // One memory-budget group per run, on this frame for the same lifetime
-  // reason as the steal domain. The engine's tile cache takes a standing
-  // reservation on every node ledger up front — the cache enforces its own
-  // LRU cap, so charging its full budget keeps the ledger an upper bound
-  // on the node's resident bytes without per-insert accounting.
+  // One memory-budget group per run: task closures capture a borrowed
+  // pointer, and every closure has finished (the engine's completion
+  // latch) before Run returns, so the group safely lives on this frame.
+  // The engine's tile cache takes a standing reservation on every node
+  // ledger up front — the cache enforces its own LRU cap, so charging its
+  // full budget keeps the ledger an upper bound on the node's resident
+  // bytes without per-insert accounting.
   std::unique_ptr<MemoryBudgetGroup> memory_budget;
   if (options_.real_mode && options_.memory_budget_bytes > 0) {
     const int64_t cache_reserve = CacheReserveBytes();
@@ -113,10 +104,7 @@ Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
   }
   CUMULON_ASSIGN_OR_RETURN(
       PlanStats stats,
-      options_.parallelize_independent_jobs
-          ? RunLeveled(plan, &run_metrics, steal.get(), memory_budget.get())
-          : RunSequential(plan, &run_metrics, steal.get(),
-                          memory_budget.get()));
+      RunRounds(plan, &run_metrics, memory_budget.get()));
   if (TileCacheGroup* caches = engine_->tile_caches()) {
     const TileCacheStats totals = caches->TotalStats();
     metrics_->gauge("cache.resident_bytes")->Set(totals.resident_bytes);
@@ -265,15 +253,8 @@ void Executor::FoldJobStats(const std::string& name, JobStats stats,
   add("exec.cache.hits", stats.cache_hits);
   add("exec.cache.misses", stats.cache_misses);
   add("exec.cache.hit_bytes", stats.bytes_read_cached);
-  // Steal counters appear only when a stealing run actually published
-  // splits, so non-stealing runs keep their exact historical metric set.
-  if (stats.splits_enqueued > 0 || stats.steal_attempts > 0) {
-    add("exec.steal.splits", stats.splits_enqueued);
-    add("exec.steal.stolen", stats.splits_stolen);
-    add("exec.steal.attempts", stats.steal_attempts);
-  }
-  // Spill counters likewise appear only when the job actually streamed
-  // under budget pressure, so unbudgeted runs keep their exact historical
+  // Spill counters appear only when the job actually streamed under
+  // budget pressure, so unbudgeted runs keep their exact historical
   // metric set.
   if (stats.spill_evictions > 0 || stats.spill_refetches > 0 ||
       stats.spill_unpinned_reads > 0) {
@@ -301,16 +282,6 @@ void Executor::RecordCacheActivity(const TileCacheStats& before,
   }
 }
 
-void Executor::RecordStealActivity(const StealDomainStats& before,
-                                   const StealDomain* steal,
-                                   JobStats* stats) const {
-  if (steal == nullptr) return;
-  const StealDomainStats after = steal->stats();
-  stats->splits_enqueued = after.splits_enqueued - before.splits_enqueued;
-  stats->splits_stolen = after.splits_stolen - before.splits_stolen;
-  stats->steal_attempts = after.steal_attempts - before.steal_attempts;
-}
-
 void Executor::RecordSpillActivity(const MemoryBudget::Counters& before,
                                    const MemoryBudgetGroup* memory_budget,
                                    JobStats* stats) const {
@@ -323,114 +294,77 @@ void Executor::RecordSpillActivity(const MemoryBudget::Counters& before,
   stats->spill_unpinned_reads = after.unpinned_reads - before.unpinned_reads;
 }
 
-Result<PlanStats> Executor::RunSequential(const PhysicalPlan& plan,
-                                          MetricsRegistry* run_metrics,
-                                          StealDomain* steal,
-                                          MemoryBudgetGroup* memory_budget) {
-  BuildContext ctx = MakeBuildContext(memory_budget);
-  ctx.steal = steal;
+Result<PlanStats> Executor::RunRounds(const PhysicalPlan& plan,
+                                      MetricsRegistry* run_metrics,
+                                      MemoryBudgetGroup* memory_budget) {
+  const BuildContext ctx = MakeBuildContext(memory_budget);
+
+  // Job indices of each scheduling round. Merging a dependency level's
+  // independent jobs into one round lets their tasks share the cluster's
+  // slots, which is how concurrently submitted Hadoop jobs behave. Every
+  // level below the deepest holds at least one job.
+  std::vector<std::vector<size_t>> rounds;
+  if (options_.parallelize_independent_jobs) {
+    const std::vector<int> levels = JobLevels(plan);
+    for (size_t j = 0; j < plan.jobs.size(); ++j) {
+      const size_t level = static_cast<size_t>(levels[j]);
+      if (rounds.size() <= level) rounds.resize(level + 1);
+      rounds[level].push_back(j);
+    }
+  } else {
+    for (size_t j = 0; j < plan.jobs.size(); ++j) rounds.push_back({j});
+  }
 
   PlanStats totals;
-  for (const auto& job : plan.jobs) {
+  for (size_t r = 0; r < rounds.size(); ++r) {
     CUMULON_RETURN_IF_ERROR(CheckCancelled());
-    CUMULON_ASSIGN_OR_RETURN(BuiltJob built, job->Build(ctx));
+    // A round's tasks run as one engine job. A one-job round keeps the
+    // job's own name; a merged round is named levelN(a+b).
+    JobSpec spec;
+    std::vector<std::vector<TileOutput>> task_outputs;
+    std::string joined;
+    for (size_t j : rounds[r]) {
+      CUMULON_ASSIGN_OR_RETURN(BuiltJob built, plan.jobs[j]->Build(ctx));
+      for (Task& task : built.spec.tasks) {
+        spec.tasks.push_back(std::move(task));
+      }
+      for (auto& outs : built.task_outputs) {
+        task_outputs.push_back(std::move(outs));
+      }
+      if (!joined.empty()) joined += "+";
+      joined += plan.jobs[j]->name();
+    }
+    const std::string name = rounds[r].size() == 1
+                                 ? joined
+                                 : StrCat("level", r, "(", joined, ")");
+    spec.name = name;
+
     const TileCacheStats cache_before =
         engine_->tile_caches() != nullptr ? engine_->tile_caches()->TotalStats()
                                           : TileCacheStats{};
-    const StealDomainStats steal_before =
-        steal != nullptr ? steal->stats() : StealDomainStats{};
     const MemoryBudget::Counters spill_before =
         memory_budget != nullptr ? memory_budget->TotalCounters()
                                  : MemoryBudget::Counters{};
-    const JobTraceScope trace = BeginJobTrace(job->name());
-    TagJobSpec(&built.spec, trace.job_id);
-    built.spec.steal_domain = steal;
-    CUMULON_ASSIGN_OR_RETURN(JobStats stats, engine_->RunJob(built.spec));
+    const JobTraceScope trace = BeginJobTrace(name);
+    TagJobSpec(&spec, trace.job_id);
+    CUMULON_ASSIGN_OR_RETURN(JobStats stats, engine_->RunJob(spec));
     EndJobTrace(trace, stats);
     RecordCacheActivity(cache_before, &stats);
-    RecordStealActivity(steal_before, steal, &stats);
     RecordSpillActivity(spill_before, memory_budget, &stats);
 
     if (!options_.real_mode) {
       // Register output tile placement so later jobs get correct locality.
-      CUMULON_CHECK_EQ(built.task_outputs.size(), stats.task_runs.size());
-      for (size_t t = 0; t < built.task_outputs.size(); ++t) {
+      CUMULON_CHECK_EQ(task_outputs.size(), stats.task_runs.size());
+      for (size_t t = 0; t < task_outputs.size(); ++t) {
         const int machine = stats.task_runs[t].machine;
-        for (const TileOutput& out : built.task_outputs[t]) {
+        for (const TileOutput& out : task_outputs[t]) {
           CUMULON_RETURN_IF_ERROR(
               store_->PutMeta(out.matrix, out.id, out.bytes, machine));
         }
       }
     }
 
-    FoldJobStats(job->name(), std::move(stats), &totals, run_metrics);
-  }
-
-  CUMULON_RETURN_IF_ERROR(DropTemporaries(plan));
-  return totals;
-}
-
-Result<PlanStats> Executor::RunLeveled(const PhysicalPlan& plan,
-                                       MetricsRegistry* run_metrics,
-                                       StealDomain* steal,
-                                       MemoryBudgetGroup* memory_budget) {
-  BuildContext ctx = MakeBuildContext(memory_budget);
-  ctx.steal = steal;
-
-  const std::vector<int> levels = JobLevels(plan);
-  const int max_level =
-      levels.empty() ? -1 : *std::max_element(levels.begin(), levels.end());
-
-  PlanStats totals;
-  for (int level = 0; level <= max_level; ++level) {
-    CUMULON_RETURN_IF_ERROR(CheckCancelled());
-    // Merge this level's independent jobs into one scheduling round: their
-    // tasks share the cluster's slots, which is how concurrently submitted
-    // Hadoop jobs behave.
-    JobSpec merged;
-    std::vector<std::vector<TileOutput>> merged_outputs;
-    std::string level_name;
-    for (size_t j = 0; j < plan.jobs.size(); ++j) {
-      if (levels[j] != level) continue;
-      CUMULON_ASSIGN_OR_RETURN(BuiltJob built, plan.jobs[j]->Build(ctx));
-      for (auto& task : built.spec.tasks) {
-        merged.tasks.push_back(std::move(task));
-      }
-      for (auto& outs : built.task_outputs) {
-        merged_outputs.push_back(std::move(outs));
-      }
-      if (!level_name.empty()) level_name += "+";
-      level_name += plan.jobs[j]->name();
-    }
-    merged.name = StrCat("level", level, "(", level_name, ")");
-
-    const TileCacheStats cache_before =
-        engine_->tile_caches() != nullptr ? engine_->tile_caches()->TotalStats()
-                                          : TileCacheStats{};
-    const StealDomainStats steal_before =
-        steal != nullptr ? steal->stats() : StealDomainStats{};
-    const MemoryBudget::Counters spill_before =
-        memory_budget != nullptr ? memory_budget->TotalCounters()
-                                 : MemoryBudget::Counters{};
-    const JobTraceScope trace = BeginJobTrace(merged.name);
-    TagJobSpec(&merged, trace.job_id);
-    merged.steal_domain = steal;
-    CUMULON_ASSIGN_OR_RETURN(JobStats stats, engine_->RunJob(merged));
-    EndJobTrace(trace, stats);
-    RecordCacheActivity(cache_before, &stats);
-    RecordStealActivity(steal_before, steal, &stats);
-    RecordSpillActivity(spill_before, memory_budget, &stats);
-    if (!options_.real_mode) {
-      CUMULON_CHECK_EQ(merged_outputs.size(), stats.task_runs.size());
-      for (size_t t = 0; t < merged_outputs.size(); ++t) {
-        const int machine = stats.task_runs[t].machine;
-        for (const TileOutput& out : merged_outputs[t]) {
-          CUMULON_RETURN_IF_ERROR(
-              store_->PutMeta(out.matrix, out.id, out.bytes, machine));
-        }
-      }
-    }
-    FoldJobStats(merged.name, std::move(stats), &totals, run_metrics);
+    FoldJobStats(name, std::move(stats), &totals, run_metrics);
   }
 
   CUMULON_RETURN_IF_ERROR(DropTemporaries(plan));

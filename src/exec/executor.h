@@ -17,9 +17,7 @@
 
 namespace cumulon {
 
-class SlotPool;      // sched/slot_pool.h
-class StealDomain;   // cluster/steal_domain.h
-struct StealDomainStats;
+class SlotPool;  // sched/slot_pool.h
 
 struct ExecutorOptions {
   /// true: attach work closures and actually compute tiles (RealEngine).
@@ -59,16 +57,6 @@ struct ExecutorOptions {
   /// tolerance-equal — not bit-equal — to kScalar runs; element-wise and
   /// column-aggregate kernels are bit-identical across modes.
   KernelMode kernel_mode = KernelMode::kAuto;
-
-  /// Intra-job split-level work stealing (cluster/steal_domain.h): task
-  /// bodies publish their block-splits to per-slot deques and idle workers
-  /// steal from the tail, shaving intra-job stragglers. Off by default:
-  /// with stealing on, each split reads its inputs through its own
-  /// prefetch reader (the per-task reader is single-threaded), so tasks
-  /// whose splits share input tiles forgo task-level read memoization.
-  /// Results are bit-identical either way — splits write disjoint tiles.
-  /// Real mode only.
-  bool enable_work_stealing = false;
 
   /// Out-of-core streaming (exec/memory_budget.h): per-node byte budget
   /// covering everything the node's tasks keep resident at once — the tile
@@ -221,14 +209,11 @@ class Executor {
     double offset_before = 0.0;
   };
 
-  Result<PlanStats> RunSequential(const PhysicalPlan& plan,
-                                  MetricsRegistry* run_metrics,
-                                  StealDomain* steal,
-                                  MemoryBudgetGroup* memory_budget);
-  Result<PlanStats> RunLeveled(const PhysicalPlan& plan,
-                               MetricsRegistry* run_metrics,
-                               StealDomain* steal,
-                               MemoryBudgetGroup* memory_budget);
+  /// Runs the plan's jobs in scheduling rounds: one job per round, or —
+  /// with parallelize_independent_jobs — one dependency level per round.
+  Result<PlanStats> RunRounds(const PhysicalPlan& plan,
+                              MetricsRegistry* run_metrics,
+                              MemoryBudgetGroup* memory_budget);
   Status DropTemporaries(const PhysicalPlan& plan);
 
   /// Status::Cancelled when options_.cancel has flipped, OK otherwise.
@@ -250,11 +235,6 @@ class Executor {
   /// Folds the engine's cache-counter delta across one job into `stats`.
   void RecordCacheActivity(const TileCacheStats& before,
                            JobStats* stats) const;
-
-  /// Folds the steal domain's counter delta across one job into `stats`
-  /// (no-op when stealing is off).
-  void RecordStealActivity(const StealDomainStats& before,
-                           const StealDomain* steal, JobStats* stats) const;
 
   /// Folds the memory-budget group's spill-counter delta across one job
   /// into `stats` (no-op when unbudgeted).

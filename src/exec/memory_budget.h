@@ -22,7 +22,7 @@ namespace cumulon {
 /// Spill activity (panel evictions, re-fetches of previously spilled
 /// panels, reads that could not be pinned at all) is counted here too so
 /// the executor can surface per-job deltas as exec.spill.* metrics the
-/// same way it folds steal and cache activity.
+/// same way it folds cache activity.
 ///
 /// Thread-safe: one ledger is shared by every task slot on a node.
 class MemoryBudget {
@@ -87,8 +87,8 @@ class MemoryBudget {
 /// One MemoryBudget per cluster node, machine-indexed the same way
 /// TileCacheGroup is (machine % nodes). The executor creates a group per
 /// Run when ExecutorOptions::memory_budget_bytes is set; it lives on the
-/// Run stack frame like the per-run StealDomain, so task closures may
-/// borrow node ledgers for the duration of the plan.
+/// Run stack frame, so task closures may borrow node ledgers for the
+/// duration of the plan.
 class MemoryBudgetGroup {
  public:
   MemoryBudgetGroup(int num_nodes, int64_t budget_bytes_per_node);

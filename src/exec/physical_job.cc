@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "cluster/steal_domain.h"
 #include "common/aligned_buffer.h"
 #include "common/strings.h"
 #include "exec/memory_budget.h"
@@ -367,91 +366,61 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
           const std::vector<EwStep> epilogue =
               apply_epilogue ? epilogue_ : std::vector<EwStep>{};
           const int64_t budget = ctx.prefetch_budget_bytes;
-          StealDomain* const steal = ctx.steal;
           const KernelMode kmode = ctx.kernel_mode;
           MemoryBudgetGroup* const mem = ctx.memory_budget;
           const int64_t pin_bytes = ctx.task_pin_bytes;
           task.work = [store, a, b, a_layout, b_layout, out_layout, out_name,
-                       epilogue, ib, i1, jb, j1, k0, k1, budget, steal, kmode,
-                       mem, pin_bytes,
-                       task_name = task.name](int machine) -> Status {
+                       epilogue, ib, i1, jb, j1, k0, k1, budget, kmode, mem,
+                       pin_bytes](int machine) -> Status {
             MemoryBudget* const ledger =
                 mem != nullptr ? mem->node(machine) : nullptr;
-            // One unit of work = one output tile (i,j): fold its k range,
-            // run the epilogue, write the tile. Units write disjoint
-            // tiles, so results do not depend on who executes them.
+            // One task-wide double-buffered reader. Hint every read in
+            // compute order, then compute — output block (i,j+1)'s tiles
+            // download while (i,j) multiplies. A and B tiles recur across
+            // the block (A per j, B per i), so they go through the memo,
+            // which bounds the task's live set to exactly the bi*bk + bk*bj
+            // tiles TaskMemoryBytes budgets for (or, under a memory budget,
+            // to the pin window — older panels spill and stream back in).
             // Operand tiles are hinted, memoized and read under their
             // stored ids: (k,i) for a transposed A.
-            auto hint_unit = [&](TaskTileReader* reader, int64_t i,
-                                 int64_t j) {
-              for (int64_t k = k0; k < k1; ++k) {
-                reader->Hint(a.stored.name, a.StoredId(i, k),
-                             TileBytes(a_layout, i, k));
-                reader->Hint(b.stored.name, b.StoredId(k, j),
-                             TileBytes(b_layout, k, j));
-              }
-              HintEwStepOperands(epilogue, out_layout, TileId{i, j}, reader);
-            };
-            auto compute_unit = [&](TaskTileReader* reader, int64_t i,
-                                    int64_t j) -> Status {
-              Tile acc(out_layout.TileRowsAt(i), out_layout.TileColsAt(j));
-              const TaskTileReader::ScratchReservation scratch =
-                  reader->PinScratch(acc.MemoryBytes());
-              for (int64_t k = k0; k < k1; ++k) {
-                CUMULON_ASSIGN_OR_RETURN(
-                    std::shared_ptr<const Tile> ta,
-                    reader->ReadMemoized(a.stored.name, a.StoredId(i, k)));
-                CUMULON_ASSIGN_OR_RETURN(
-                    std::shared_ptr<const Tile> tb,
-                    reader->ReadMemoized(b.stored.name, b.StoredId(k, j)));
-                CUMULON_RETURN_IF_ERROR(GemmWithMode(kmode, *ta, *tb, 1.0,
-                                                     1.0, &acc, a.orientation,
-                                                     b.orientation));
-              }
-              CUMULON_RETURN_IF_ERROR(RunEwSteps(epilogue, reader,
-                                                 TileId{i, j}, &acc, kmode));
-              return store->Put(out_name, TileId{i, j},
-                                std::make_shared<Tile>(std::move(acc)),
-                                machine);
-            };
-            if (steal == nullptr) {
-              // Classic path: one task-wide double-buffered reader. Hint
-              // every read in compute order, then compute — output block
-              // (i,j+1)'s tiles download while (i,j) multiplies. A and B
-              // tiles recur across the block (A per j, B per i), so they
-              // go through the memo, which bounds the task's live set to
-              // exactly the bi*bk + bk*bj tiles TaskMemoryBytes budgets
-              // for (or, under a memory budget, to the pin window — older
-              // panels spill and stream back in).
-              TaskTileReader reader(store, machine, budget, ledger,
-                                    pin_bytes);
-              for (int64_t i = ib; i < i1; ++i) {
-                for (int64_t j = jb; j < j1; ++j) hint_unit(&reader, i, j);
-              }
-              for (int64_t i = ib; i < i1; ++i) {
-                for (int64_t j = jb; j < j1; ++j) {
-                  CUMULON_RETURN_IF_ERROR(compute_unit(&reader, i, j));
-                }
-              }
-              return Status::OK();
-            }
-            // Stealing path: publish one split per output tile. Each split
-            // opens its own reader (TaskTileReader is single-threaded), so
-            // stolen splits prefetch and read wherever they execute; the
-            // lambdas capture this frame by reference, which RunAndWait
-            // keeps alive until every split has run.
-            TaskSplitScope scope(steal, task_name, machine);
+            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
             for (int64_t i = ib; i < i1; ++i) {
               for (int64_t j = jb; j < j1; ++j) {
-                scope.Add([&, i, j]() -> Status {
-                  TaskTileReader reader(store, machine, budget, ledger,
-                                        pin_bytes);
-                  hint_unit(&reader, i, j);
-                  return compute_unit(&reader, i, j);
-                });
+                for (int64_t k = k0; k < k1; ++k) {
+                  reader.Hint(a.stored.name, a.StoredId(i, k),
+                              TileBytes(a_layout, i, k));
+                  reader.Hint(b.stored.name, b.StoredId(k, j),
+                              TileBytes(b_layout, k, j));
+                }
+                HintEwStepOperands(epilogue, out_layout, TileId{i, j},
+                                   &reader);
               }
             }
-            return scope.RunAndWait();
+            for (int64_t i = ib; i < i1; ++i) {
+              for (int64_t j = jb; j < j1; ++j) {
+                Tile acc(out_layout.TileRowsAt(i), out_layout.TileColsAt(j));
+                const TaskTileReader::ScratchReservation scratch =
+                    reader.PinScratch(acc.MemoryBytes());
+                for (int64_t k = k0; k < k1; ++k) {
+                  CUMULON_ASSIGN_OR_RETURN(
+                      std::shared_ptr<const Tile> ta,
+                      reader.ReadMemoized(a.stored.name, a.StoredId(i, k)));
+                  CUMULON_ASSIGN_OR_RETURN(
+                      std::shared_ptr<const Tile> tb,
+                      reader.ReadMemoized(b.stored.name, b.StoredId(k, j)));
+                  CUMULON_RETURN_IF_ERROR(GemmWithMode(
+                      kmode, *ta, *tb, 1.0, 1.0, &acc, a.orientation,
+                      b.orientation));
+                }
+                CUMULON_RETURN_IF_ERROR(RunEwSteps(epilogue, &reader,
+                                                   TileId{i, j}, &acc, kmode));
+                CUMULON_RETURN_IF_ERROR(
+                    store->Put(out_name, TileId{i, j},
+                               std::make_shared<Tile>(std::move(acc)),
+                               machine));
+              }
+            }
+            return Status::OK();
           };
         }
 
@@ -531,54 +500,36 @@ Result<BuiltJob> SumJob::Build(const BuildContext& ctx) const {
       const TileLayout out_layout = lc;
       const std::vector<EwStep> epilogue = epilogue_;
       const int64_t budget = ctx.prefetch_budget_bytes;
-      StealDomain* const steal = ctx.steal;
       const KernelMode kmode = ctx.kernel_mode;
       MemoryBudgetGroup* const mem = ctx.memory_budget;
       const int64_t pin_bytes = ctx.task_pin_bytes;
       task.work = [store, parts, out_name, out_layout, epilogue, group,
-                   budget, steal, kmode, mem, pin_bytes,
-                   task_name = task.name](int machine) -> Status {
+                   budget, kmode, mem, pin_bytes](int machine) -> Status {
         MemoryBudget* const ledger =
             mem != nullptr ? mem->node(machine) : nullptr;
-        auto hint_unit = [&](TaskTileReader* reader, const TileId& id) {
+        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
+        for (const TileId& id : group) {
           for (const std::string& part : parts) {
-            reader->Hint(part, id, TileBytes(out_layout, id.row, id.col));
+            reader.Hint(part, id, TileBytes(out_layout, id.row, id.col));
           }
-          HintEwStepOperands(epilogue, out_layout, id, reader);
-        };
-        auto compute_unit = [&](TaskTileReader* reader,
-                                const TileId& id) -> Status {
+          HintEwStepOperands(epilogue, out_layout, id, &reader);
+        }
+        for (const TileId& id : group) {
           Tile acc(out_layout.TileRowsAt(id.row),
                    out_layout.TileColsAt(id.col));
           const TaskTileReader::ScratchReservation scratch =
-              reader->PinScratch(2 * acc.MemoryBytes());
+              reader.PinScratch(2 * acc.MemoryBytes());
           for (const std::string& part : parts) {
             CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const Tile> t,
-                                     reader->Read(part, id));
+                                     reader.Read(part, id));
             CUMULON_RETURN_IF_ERROR(AccumulateIntoWithMode(kmode, *t, &acc));
           }
           CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(epilogue, reader, id, &acc, kmode));
-          return store->Put(out_name, id,
-                            std::make_shared<Tile>(std::move(acc)), machine);
-        };
-        if (steal == nullptr) {
-          TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-          for (const TileId& id : group) hint_unit(&reader, id);
-          for (const TileId& id : group) {
-            CUMULON_RETURN_IF_ERROR(compute_unit(&reader, id));
-          }
-          return Status::OK();
+              RunEwSteps(epilogue, &reader, id, &acc, kmode));
+          CUMULON_RETURN_IF_ERROR(store->Put(
+              out_name, id, std::make_shared<Tile>(std::move(acc)), machine));
         }
-        TaskSplitScope scope(steal, task_name, machine);
-        for (const TileId& id : group) {
-          scope.Add([&, id]() -> Status {
-            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-            hint_unit(&reader, id);
-            return compute_unit(&reader, id);
-          });
-        }
-        return scope.RunAndWait();
+        return Status::OK();
       };
     }
 
@@ -650,51 +601,33 @@ Result<BuiltJob> EwChainJob::Build(const BuildContext& ctx) const {
       const TileLayout out_layout = lc;
       const std::vector<EwStep> steps = steps_;
       const int64_t budget = ctx.prefetch_budget_bytes;
-      StealDomain* const steal = ctx.steal;
       const KernelMode kmode = ctx.kernel_mode;
       MemoryBudgetGroup* const mem = ctx.memory_budget;
       const int64_t pin_bytes = ctx.task_pin_bytes;
       task.work = [store, in_name, out_name, out_layout, steps, group,
-                   budget, steal, kmode, mem, pin_bytes,
-                   task_name = task.name](int machine) -> Status {
+                   budget, kmode, mem, pin_bytes](int machine) -> Status {
         MemoryBudget* const ledger =
             mem != nullptr ? mem->node(machine) : nullptr;
-        auto hint_unit = [&](TaskTileReader* reader, const TileId& id) {
-          reader->Hint(in_name, id, TileBytes(out_layout, id.row, id.col));
-          HintEwStepOperands(steps, out_layout, id, reader);
-        };
-        auto compute_unit = [&](TaskTileReader* reader,
-                                const TileId& id) -> Status {
+        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
+        for (const TileId& id : group) {
+          reader.Hint(in_name, id, TileBytes(out_layout, id.row, id.col));
+          HintEwStepOperands(steps, out_layout, id, &reader);
+        }
+        for (const TileId& id : group) {
           CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const Tile> t,
-                                   reader->Read(in_name, id));
+                                   reader.Read(in_name, id));
           Tile value = *t;
           // Scratch covers the working copy plus the transient input tile
           // still alive in `t`.
           const TaskTileReader::ScratchReservation scratch =
-              reader->PinScratch(2 * value.MemoryBytes());
+              reader.PinScratch(2 * value.MemoryBytes());
           CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(steps, reader, id, &value, kmode));
-          return store->Put(out_name, id,
-                            std::make_shared<Tile>(std::move(value)),
-                            machine);
-        };
-        if (steal == nullptr) {
-          TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-          for (const TileId& id : group) hint_unit(&reader, id);
-          for (const TileId& id : group) {
-            CUMULON_RETURN_IF_ERROR(compute_unit(&reader, id));
-          }
-          return Status::OK();
+              RunEwSteps(steps, &reader, id, &value, kmode));
+          CUMULON_RETURN_IF_ERROR(
+              store->Put(out_name, id,
+                         std::make_shared<Tile>(std::move(value)), machine));
         }
-        TaskSplitScope scope(steal, task_name, machine);
-        for (const TileId& id : group) {
-          scope.Add([&, id]() -> Status {
-            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-            hint_unit(&reader, id);
-            return compute_unit(&reader, id);
-          });
-        }
-        return scope.RunAndWait();
+        return Status::OK();
       };
     }
 
@@ -803,34 +736,34 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
       const std::vector<EwStep> epilogue = epilogue_;
       const bool rows_mode = row_sums;
       const int64_t budget = ctx.prefetch_budget_bytes;
-      StealDomain* const steal = ctx.steal;
       const KernelMode kmode = ctx.kernel_mode;
       MemoryBudgetGroup* const mem = ctx.memory_budget;
       const int64_t pin_bytes = ctx.task_pin_bytes;
       task.work = [store, in_name, out_name, in_layout, out_layout, epilogue,
-                   rows_mode, s0, s1, cross, budget, steal, kmode, mem,
-                   pin_bytes, task_name = task.name](int machine) -> Status {
+                   rows_mode, s0, s1, cross, budget, kmode, mem,
+                   pin_bytes](int machine) -> Status {
         MemoryBudget* const ledger =
             mem != nullptr ? mem->node(machine) : nullptr;
-        // One unit = one output stripe s (row sums: grid row; col sums:
-        // grid column), reading its full cross range of input tiles.
-        auto hint_unit = [&](TaskTileReader* reader, int64_t s) {
+        // One output stripe s per step (row sums: grid row; col sums: grid
+        // column), reading its full cross range of input tiles.
+        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
+        for (int64_t s = s0; s < s1; ++s) {
           for (int64_t x = 0; x < cross; ++x) {
             const TileId in_id = rows_mode ? TileId{s, x} : TileId{x, s};
-            reader->Hint(in_name, in_id,
-                         TileBytes(in_layout, in_id.row, in_id.col));
+            reader.Hint(in_name, in_id,
+                        TileBytes(in_layout, in_id.row, in_id.col));
           }
           const TileId out_id = rows_mode ? TileId{s, 0} : TileId{0, s};
-          HintEwStepOperands(epilogue, out_layout, out_id, reader);
-        };
-        auto compute_unit = [&](TaskTileReader* reader, int64_t s) -> Status {
+          HintEwStepOperands(epilogue, out_layout, out_id, &reader);
+        }
+        for (int64_t s = s0; s < s1; ++s) {
           const TileId out_id = rows_mode ? TileId{s, 0} : TileId{0, s};
           Tile acc(out_layout.TileRowsAt(out_id.row),
                    out_layout.TileColsAt(out_id.col));
           // Scratch covers the accumulator, the per-chunk partial, and the
           // transient input tile being reduced.
           const TaskTileReader::ScratchReservation scratch =
-              reader->PinScratch(
+              reader.PinScratch(
                   2 * acc.MemoryBytes() +
                   AlignedFootprintBytes(in_layout.tile_rows() *
                                         in_layout.tile_cols() * 8));
@@ -844,7 +777,7 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
             for (int64_t x = x0; x < x1; ++x) {
               const TileId in_id = rows_mode ? TileId{s, x} : TileId{x, s};
               CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const Tile> t,
-                                       reader->Read(in_name, in_id));
+                                       reader.Read(in_name, in_id));
               CUMULON_RETURN_IF_ERROR(
                   rows_mode ? RowSumsPartialInto(*t, &partial)
                             : ColSumsIntoWithMode(kmode, *t, &partial));
@@ -853,27 +786,12 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
                 CombineAggPartialWithMode(kmode, partial, &acc));
           }
           CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(epilogue, reader, out_id, &acc, kmode));
-          return store->Put(out_name, out_id,
-                            std::make_shared<Tile>(std::move(acc)), machine);
-        };
-        if (steal == nullptr) {
-          TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-          for (int64_t s = s0; s < s1; ++s) hint_unit(&reader, s);
-          for (int64_t s = s0; s < s1; ++s) {
-            CUMULON_RETURN_IF_ERROR(compute_unit(&reader, s));
-          }
-          return Status::OK();
+              RunEwSteps(epilogue, &reader, out_id, &acc, kmode));
+          CUMULON_RETURN_IF_ERROR(store->Put(
+              out_name, out_id, std::make_shared<Tile>(std::move(acc)),
+              machine));
         }
-        TaskSplitScope scope(steal, task_name, machine);
-        for (int64_t s = s0; s < s1; ++s) {
-          scope.Add([&, s]() -> Status {
-            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-            hint_unit(&reader, s);
-            return compute_unit(&reader, s);
-          });
-        }
-        return scope.RunAndWait();
+        return Status::OK();
       };
     }
 
@@ -942,52 +860,35 @@ Result<BuiltJob> TransposeJob::Build(const BuildContext& ctx) const {
       const std::string out_name = out_.name;
       const TileLayout out_layout = lc;
       const int64_t budget = ctx.prefetch_budget_bytes;
-      StealDomain* const steal = ctx.steal;
       MemoryBudgetGroup* const mem = ctx.memory_budget;
       const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, in_name, out_name, out_layout, group, budget,
-                   steal, mem, pin_bytes,
-                   task_name = task.name](int machine) -> Status {
+      task.work = [store, in_name, out_name, out_layout, group, budget, mem,
+                   pin_bytes](int machine) -> Status {
         MemoryBudget* const ledger =
             mem != nullptr ? mem->node(machine) : nullptr;
-        auto hint_unit = [&](TaskTileReader* reader, const TileId& id) {
+        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
+        for (const TileId& id : group) {
           // Input tile (j,i) has the transposed shape of output (i,j),
           // which is the same serialized size.
-          reader->Hint(in_name, TileId{id.col, id.row},
-                       TileBytes(out_layout, id.row, id.col));
-        };
-        auto compute_unit = [&](TaskTileReader* reader,
-                                const TileId& id) -> Status {
+          reader.Hint(in_name, TileId{id.col, id.row},
+                      TileBytes(out_layout, id.row, id.col));
+        }
+        for (const TileId& id : group) {
           CUMULON_ASSIGN_OR_RETURN(
               std::shared_ptr<const Tile> t,
-              reader->Read(in_name, TileId{id.col, id.row}));
+              reader.Read(in_name, TileId{id.col, id.row}));
           Tile out_tile(out_layout.TileRowsAt(id.row),
                         out_layout.TileColsAt(id.col));
           // Scratch covers the output tile plus the transient input tile.
           const TaskTileReader::ScratchReservation scratch =
-              reader->PinScratch(2 * out_tile.MemoryBytes());
+              reader.PinScratch(2 * out_tile.MemoryBytes());
           CUMULON_RETURN_IF_ERROR(TransposeTile(*t, &out_tile));
-          return store->Put(out_name, id,
-                            std::make_shared<Tile>(std::move(out_tile)),
-                            machine);
-        };
-        if (steal == nullptr) {
-          TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-          for (const TileId& id : group) hint_unit(&reader, id);
-          for (const TileId& id : group) {
-            CUMULON_RETURN_IF_ERROR(compute_unit(&reader, id));
-          }
-          return Status::OK();
+          CUMULON_RETURN_IF_ERROR(
+              store->Put(out_name, id,
+                         std::make_shared<Tile>(std::move(out_tile)),
+                         machine));
         }
-        TaskSplitScope scope(steal, task_name, machine);
-        for (const TileId& id : group) {
-          scope.Add([&, id]() -> Status {
-            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-            hint_unit(&reader, id);
-            return compute_unit(&reader, id);
-          });
-        }
-        return scope.RunAndWait();
+        return Status::OK();
       };
     }
 

@@ -18,7 +18,6 @@
 
 namespace cumulon {
 
-class StealDomain;        // cluster/steal_domain.h
 class MemoryBudgetGroup;  // exec/memory_budget.h
 
 /// Inputs a physical job needs to turn itself into schedulable tasks.
@@ -33,13 +32,6 @@ struct BuildContext {
   /// kScalar = the bit-exact oracle. The executor fills it from
   /// ExecutorOptions::kernel_mode.
   KernelMode kernel_mode = KernelMode::kAuto;
-
-  /// Intra-job work stealing (cluster/steal_domain.h). When non-null, task
-  /// bodies publish their block-splits through a TaskSplitScope instead of
-  /// running them inline, so idle workers can steal straggler splits.
-  /// Borrowed from the executor; null = splits run inline (exact classic
-  /// behavior, including task-level read memoization).
-  StealDomain* steal = nullptr;
 
   /// Node-local tile-cache budget per machine (0 = caching off) and the
   /// number of machines the job's tasks spread over. When set, jobs whose

@@ -11,13 +11,12 @@ namespace cumulon {
 
 /// The determinism contract of a plan: everything a replay needs to be
 /// bit-identical. Stamped by Lower() (the seed all randomized choices
-/// derive from, plus the *resolved* — never kAuto — reduction order the
-/// run will fold with) and checked at admission by the plan verifier
+/// derive from; every reduction folds in one fixed order, so the seed is
+/// all there is to record) and checked at admission by the plan verifier
 /// (verify.plan.determinism in src/verify).
 struct PlanDeterminism {
   bool recorded = false;
   uint64_t seed = 0;
-  ReduceMode reduce_mode = ReduceMode::kAuto;
 };
 
 /// An executable plan: jobs run sequentially in order (Cumulon materializes

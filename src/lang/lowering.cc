@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "matrix/kernel_config.h"
 #include "verify/verify.h"
 
 namespace cumulon {
@@ -370,13 +369,10 @@ Result<LoweredProgram> Lower(const Program& program,
   CUMULON_RETURN_IF_ERROR(lowerer.LowerProgram(program));
   LoweredProgram lowered = lowerer.Take();
 
-  // Stamp the determinism contract: the plan records the concrete reduce
-  // mode (resolved against CUMULON_REDUCE now, at plan-build time), so a
-  // replay under a different environment still folds identically.
+  // Stamp the determinism contract: the seed every randomized choice
+  // derives from.
   lowered.plan.determinism.recorded = true;
   lowered.plan.determinism.seed = options.seed;
-  lowered.plan.determinism.reduce_mode =
-      ResolveReduceMode(options.reduce_mode);
 
   // Post-lowering verification: lowering knows the exact resident set (the
   // caller's bindings), so this is the one edge where the dependency pass

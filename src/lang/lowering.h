@@ -44,11 +44,8 @@ struct LoweringOptions {
 
   /// Determinism contract stamped into the plan (PhysicalPlan::determinism)
   /// and enforced at admission by the verifier: the seed every randomized
-  /// choice derives from, and the reduction order — resolved through
-  /// ResolveReduceMode at lowering time so the plan records the concrete
-  /// (ordered/fast) mode a replay must use, never kAuto.
+  /// choice derives from.
   uint64_t seed = 11;
-  ReduceMode reduce_mode = ReduceMode::kAuto;
 };
 
 /// Result of lowering: the executable plan plus, for every assignment

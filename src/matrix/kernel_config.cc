@@ -32,14 +32,6 @@ const char* KernelEnvOverride() {
   return env;
 }
 
-const char* ReduceEnvOverride() {
-  static const char* env = [] {
-    const char* v = std::getenv("CUMULON_REDUCE");
-    return (v != nullptr && v[0] != '\0') ? v : nullptr;
-  }();
-  return env;
-}
-
 int64_t RoundDownToMultiple(int64_t n, int64_t m) { return (n / m) * m; }
 
 }  // namespace
@@ -91,49 +83,6 @@ bool SimdKernelAvailable() {
 KernelMode ResolveKernelMode(KernelMode requested) {
   if (requested == KernelMode::kScalar) return KernelMode::kScalar;
   return SimdKernelAvailable() ? KernelMode::kSimd : KernelMode::kScalar;
-}
-
-const char* ReduceModeName(ReduceMode mode) {
-  switch (mode) {
-    case ReduceMode::kAuto:
-      return "auto";
-    case ReduceMode::kOrdered:
-      return "ordered";
-    case ReduceMode::kFast:
-      return "fast";
-  }
-  return "unknown";
-}
-
-bool ParseReduceMode(const std::string& name, ReduceMode* out) {
-  if (name == "auto") {
-    *out = ReduceMode::kAuto;
-  } else if (name == "ordered") {
-    *out = ReduceMode::kOrdered;
-  } else if (name == "fast") {
-    *out = ReduceMode::kFast;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-ReduceMode ResolveReduceModeWith(ReduceMode requested, const char* env) {
-  if (requested == ReduceMode::kOrdered) return ReduceMode::kOrdered;
-  // CUMULON_REDUCE=ordered pins the whole process to the oracle fold (the
-  // strict CI lane); reorder tolerance is never inferred, so kAuto only
-  // picks the fast path when the override explicitly opts in.
-  if (env != nullptr && std::strcmp(env, "ordered") == 0) {
-    return ReduceMode::kOrdered;
-  }
-  if (requested == ReduceMode::kFast) return ReduceMode::kFast;
-  return (env != nullptr && std::strcmp(env, "fast") == 0)
-             ? ReduceMode::kFast
-             : ReduceMode::kOrdered;
-}
-
-ReduceMode ResolveReduceMode(ReduceMode requested) {
-  return ResolveReduceModeWith(requested, ReduceEnvOverride());
 }
 
 KernelConfig KernelConfig::FromCacheSizes(int64_t l1d_bytes,

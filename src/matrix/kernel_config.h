@@ -28,23 +28,7 @@ namespace cumulon {
 ///             SIMD paths use no FMA and are bit-identical.
 enum class KernelMode { kAuto, kScalar, kSimd };
 
-/// How the within-row reductions (TileSum, RowSumsInto, FrobeniusNorm) fold
-/// their terms.
-///  - kAuto:    ordered unless the CUMULON_REDUCE environment override says
-///              `fast` — reorder tolerance is opt-in, never inferred.
-///  - kOrdered: strictly ascending-index folds — the bit-exactness oracle
-///              every other path is tested against. Always honored.
-///  - kFast:    multi-accumulator unrolled folds (portable, no intrinsics):
-///              the dependency chain splits across four lanes, which
-///              reassociates the additions, so results are tolerance-equal
-///              (not bit-equal) to the oracle. CUMULON_REDUCE=ordered
-///              forces it back to kOrdered process-wide.
-/// Column sums are unaffected: they reduce across rows with one
-/// accumulator per column, so their SIMD path never reorders.
-enum class ReduceMode { kAuto, kOrdered, kFast };
-
 const char* KernelModeName(KernelMode mode);
-const char* ReduceModeName(ReduceMode mode);
 
 /// Parses "auto" / "scalar" / "simd" (case-sensitive). Returns false (and
 /// leaves *out alone) on anything else.
@@ -66,20 +50,6 @@ KernelMode ResolveKernelMode(KernelMode requested);
 /// AVX2+FMA.
 KernelMode ResolveKernelModeWith(KernelMode requested, bool cpu_simd,
                                  const char* env);
-
-/// Parses "auto" / "ordered" / "fast" (case-sensitive). Returns false (and
-/// leaves *out alone) on anything else.
-bool ParseReduceMode(const std::string& name, ReduceMode* out);
-
-/// Resolves a requested reduce mode against the CUMULON_REDUCE override:
-/// kAuto -> kFast only when the override opts in, else kOrdered; kFast is
-/// demoted to kOrdered when the override forces `ordered`; kOrdered is
-/// always honored.
-ReduceMode ResolveReduceMode(ReduceMode requested);
-
-/// Pure resolution logic, exposed for tests: `env` is the CUMULON_REDUCE
-/// value (nullptr/empty = unset).
-ReduceMode ResolveReduceModeWith(ReduceMode requested, const char* env);
 
 /// Micro-kernel register tile, baked into the compiled AVX2 kernel: 6 rows
 /// x 8 columns (12 YMM accumulators + 2 B vectors + 1 A broadcast = 15 of

@@ -15,43 +15,6 @@ namespace {
 bool UseSimd(KernelMode mode) {
   return ResolveKernelMode(mode) == KernelMode::kSimd;
 }
-
-/// True when `mode` resolves to the reorder-tolerant fast reduction path
-/// (CUMULON_REDUCE override, see kernel_config.h).
-bool UseFastReduce(ReduceMode mode) {
-  return ResolveReduceMode(mode) == ReduceMode::kFast;
-}
-
-/// Four-lane unrolled sum: splits the serial dependency chain so the adds
-/// pipeline (and the compiler may vectorize the lanes). Reassociates the
-/// terms — fast-mode only, never the oracle.
-double SumFast(const double* d, int64_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += d[i];
-    s1 += d[i + 1];
-    s2 += d[i + 2];
-    s3 += d[i + 3];
-  }
-  double s = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) s += d[i];
-  return s;
-}
-
-double SumSquaresFast(const double* d, int64_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += d[i] * d[i];
-    s1 += d[i + 1] * d[i + 1];
-    s2 += d[i + 2] * d[i + 2];
-    s3 += d[i + 3] * d[i + 3];
-  }
-  double s = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) s += d[i] * d[i];
-  return s;
-}
 }  // namespace
 
 const char* BinaryOpName(BinaryOp op) {
@@ -537,22 +500,13 @@ Status AccumulateIntoWithMode(KernelMode mode, const Tile& x, Tile* acc) {
 }
 
 Status RowSumsInto(const Tile& t, Tile* acc) {
-  return RowSumsIntoWithMode(ReduceMode::kAuto, t, acc);
-}
-
-Status RowSumsIntoWithMode(ReduceMode mode, const Tile& t, Tile* acc) {
   if (acc->rows() != t.rows() || acc->cols() != 1) {
     return Status::InvalidArgument("RowSumsInto needs a rows x 1 accumulator");
   }
   const double* d = t.data();
   double* a = acc->mutable_data();
-  const bool fast = UseFastReduce(mode);
   for (int64_t r = 0; r < t.rows(); ++r) {
     const double* row = d + r * t.cols();
-    if (fast) {
-      a[r] += SumFast(row, t.cols());
-      continue;
-    }
     double s = 0.0;
     for (int64_t c = 0; c < t.cols(); ++c) s += row[c];
     a[r] += s;
@@ -597,24 +551,14 @@ Status ColSumsIntoWithMode(KernelMode mode, const Tile& t, Tile* acc) {
 }
 
 double TileSum(const Tile& t) {
-  return TileSumWithMode(ReduceMode::kAuto, t);
-}
-
-double TileSumWithMode(ReduceMode mode, const Tile& t) {
   const double* d = t.data();
-  if (UseFastReduce(mode)) return SumFast(d, t.size());
   double s = 0.0;
   for (int64_t i = 0; i < t.size(); ++i) s += d[i];
   return s;
 }
 
 double FrobeniusNorm(const Tile& t) {
-  return FrobeniusNormWithMode(ReduceMode::kAuto, t);
-}
-
-double FrobeniusNormWithMode(ReduceMode mode, const Tile& t) {
   const double* d = t.data();
-  if (UseFastReduce(mode)) return std::sqrt(SumSquaresFast(d, t.size()));
   double s = 0.0;
   for (int64_t i = 0; i < t.size(); ++i) s += d[i] * d[i];
   return std::sqrt(s);

@@ -104,29 +104,23 @@ Status TransposeTile(const Tile& a, Tile* out);
 Status AccumulateInto(const Tile& x, Tile* acc);
 Status AccumulateIntoWithMode(KernelMode mode, const Tile& x, Tile* acc);
 
-/// Sum of all elements. The plain entry points below resolve
-/// ReduceMode::kAuto (kernel_config.h): the strictly ordered fold unless
-/// CUMULON_REDUCE=fast opts the process into the reorder-tolerant
-/// multi-accumulator path.
+/// Sum of all elements, folded in strictly ascending index order.
 double TileSum(const Tile& t);
-double TileSumWithMode(ReduceMode mode, const Tile& t);
 
-/// acc[r] += sum_c t(r, c): folds a tile into a rows x 1 accumulator.
+/// acc[r] += sum_c t(r, c): folds a tile into a rows x 1 accumulator, each
+/// row in ascending column order.
 Status RowSumsInto(const Tile& t, Tile* acc);
-Status RowSumsIntoWithMode(ReduceMode mode, const Tile& t, Tile* acc);
 
 /// acc[c] += sum_r t(r, c): folds a tile into a 1 x cols accumulator.
 /// Vectorized over columns when AVX2 is available — each accumulator
 /// element still receives rows in ascending order, so bit-identical.
 /// (RowSumsInto / TileSum / FrobeniusNorm reduce *within* a row, so
-/// speeding them up necessarily reorders additions — that lives behind
-/// the opt-in ReduceMode::kFast / CUMULON_REDUCE=fast path above.)
+/// speeding them up would reorder additions; they stay scalar.)
 Status ColSumsInto(const Tile& t, Tile* acc);
 Status ColSumsIntoWithMode(KernelMode mode, const Tile& t, Tile* acc);
 
-/// Frobenius norm.
+/// Frobenius norm, its squares folded in ascending index order.
 double FrobeniusNorm(const Tile& t);
-double FrobeniusNormWithMode(ReduceMode mode, const Tile& t);
 
 // --- Chunk-level partial aggregates (out-of-core streaming) ---------------
 //

@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "exec/physical_job.h"
-#include "matrix/kernel_config.h"
 
 namespace cumulon {
 
@@ -570,19 +569,10 @@ void PassPlanBudget(const PhysicalPlan&, const PlanVerifyOptions& options,
 void PassPlanDeterminism(const PhysicalPlan& plan,
                          const PlanVerifyOptions& options,
                          VerifyReport* report) {
-  if (!plan.determinism.recorded) {
-    if (options.require_determinism) {
-      report->Add("verify.plan.determinism",
-                  "plan carries no determinism contract (seed + resolved "
-                  "ReduceMode); replays are not guaranteed bit-identical");
-    }
-    return;
-  }
-  if (plan.determinism.reduce_mode == ReduceMode::kAuto) {
+  if (!plan.determinism.recorded && options.require_determinism) {
     report->Add("verify.plan.determinism",
-                "recorded ReduceMode is kAuto — the contract must record "
-                "the resolved (ordered/fast) mode, or a replay under a "
-                "different CUMULON_REDUCE differs bit-wise");
+                "plan carries no determinism contract (seed); replays are "
+                "not guaranteed bit-identical");
   }
 }
 

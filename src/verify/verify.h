@@ -37,7 +37,7 @@
 ///   verify.plan.coverage     an output tile produced twice or never
 ///   verify.split             MatMul split params cannot tile the grid
 ///   verify.budget.infeasible memory budget below the cache reservation
-///   verify.plan.determinism  seed / resolved ReduceMode not recorded
+///   verify.plan.determinism  lowering's seed not recorded
 ///
 /// Pipeline edges wired to these checks: after logical_optimizer rewrites,
 /// at the end of Lower(), inside opt/search + opt/job_tuner candidate
@@ -129,9 +129,9 @@ struct PlanVerifyOptions {
   int64_t memory_budget_bytes = 0;
   int64_t cache_reserve_bytes = 0;
 
-  /// Require the lowering-stamped determinism contract (seed + resolved
-  /// ReduceMode) so a replay of this plan is bit-identical. On for lowered
-  /// plans; off for hand-assembled plans submitted directly.
+  /// Require the lowering-stamped determinism contract (the seed) so a
+  /// replay of this plan is bit-identical. On for lowered plans; off for
+  /// hand-assembled plans submitted directly.
   bool require_determinism = false;
 };
 

@@ -6,6 +6,7 @@
 #include "cluster/real_engine.h"
 #include "cluster/sim_engine.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "cost/cost_model.h"
 #include "dfs/dfs_tile_store.h"
 #include "dfs/sim_dfs.h"
@@ -380,6 +381,51 @@ TEST(ExecSimTest, JobStartupChargedPerJob) {
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats->total_seconds, 100.0);
   EXPECT_LT(stats->total_seconds, 200.0);
+}
+
+// ---------------------------------------------------------------------------
+// Declared vs measured reads
+// ---------------------------------------------------------------------------
+
+TEST(ExecIoTest, BlockedMatMulReadsExactlyWhatItDeclares) {
+  // 32x32 operands in 8x8 tiles: a 4x4 grid, so 2x2 blocks give four
+  // tasks that each need 8 A and 8 B tiles. Within a task every A tile
+  // recurs per j and every B tile per i; the task-wide reader's memo must
+  // serve those repeats, so the DFS sees each declared tile read once.
+  for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
+    SCOPED_TRACE(StrCat("prefetch window ", prefetch_bytes));
+    SimDfs dfs(DfsOptions{});
+    DfsTileStore store(&dfs);
+    store.EnablePrefetch(2);
+    TiledMatrix a{"A", TileLayout::Square(32, 32, 8)};
+    TiledMatrix b{"B", TileLayout::Square(32, 32, 8)};
+    TiledMatrix c{"C", TileLayout::Square(32, 32, 8)};
+    Rng rng(7);
+    ASSERT_TRUE(StoreDense(DenseMatrix::Gaussian(32, 32, &rng), a, &store)
+                    .ok());
+    ASSERT_TRUE(StoreDense(DenseMatrix::Gaussian(32, 32, &rng), b, &store)
+                    .ok());
+    MetricsRegistry metrics;
+    store.AttachMetrics(&metrics);  // after the input writes: reads only
+
+    RealEngine engine(ClusterConfig{MachineProfile{}, 2, 2},
+                      RealEngineOptions{});
+    TileOpCostModel cost;
+    ExecutorOptions options;
+    options.prefetch_budget_bytes = prefetch_bytes;
+    Executor executor(&store, &engine, &cost, options);
+    PhysicalPlan plan;
+    ASSERT_TRUE(
+        AddMatMul(a, b, c, MatMulParams{2, 2, 0}, {}, &plan).ok());
+    auto stats = executor.Run(plan);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+
+    const MetricsSnapshot snapshot = metrics.Snapshot();
+    EXPECT_EQ(stats->total_tasks, 4);
+    EXPECT_EQ(snapshot.CounterOr("dfs.read.ops", -1), 64);
+    EXPECT_EQ(stats->bytes_read, 64 * (16 + 8 * 8 * 8));
+    EXPECT_EQ(snapshot.CounterOr("dfs.read.bytes", -1), stats->bytes_read);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ TEST(SimRevocationTest, OriginAdvancesByEachJobsMakespan) {
 
 // ---------------------------------------------------------------------------
 // Real engine: the example programs survive seeded revocations
-// bit-identically, across scheduling policies and work stealing
+// bit-identically, across scheduling policies
 // ---------------------------------------------------------------------------
 
 constexpr int64_t kTile = 8;
@@ -481,8 +481,7 @@ void BindLogRegInputs(TileStore* store,
 void RunCasesThroughManager(const std::vector<E8Case>& cases,
                             void (*bind)(TileStore*,
                                          std::map<std::string, TiledMatrix>*),
-                            SchedPolicy policy, bool stealing,
-                            RevocationController* ctrl,
+                            SchedPolicy policy, RevocationController* ctrl,
                             std::map<std::string, DenseMatrix>* outputs) {
   InMemoryTileStore store;
   std::map<std::string, TiledMatrix> bindings;
@@ -496,7 +495,6 @@ void RunCasesThroughManager(const std::vector<E8Case>& cases,
   WorkloadManagerOptions options;
   options.policy = policy;
   options.max_concurrent_plans = 2;
-  options.executor.enable_work_stealing = stealing;
   WorkloadManager manager(&store, &engine, &cost, options);
 
   // target name -> the tiled matrix it was materialized as
@@ -532,47 +530,41 @@ void RunCasesThroughManager(const std::vector<E8Case>& cases,
 /// The whole example-program suite under one fault plan: the four
 /// disjoint-input programs share a manager, LogReg follows in its own
 /// store. `ctrl` may be null (the clean reference).
-void RunE8Workload(SchedPolicy policy, bool stealing,
-                   RevocationController* ctrl,
+void RunE8Workload(SchedPolicy policy, RevocationController* ctrl,
                    std::map<std::string, DenseMatrix>* outputs) {
-  RunCasesThroughManager(MainCases(), &BindMainInputs, policy, stealing,
-                         ctrl, outputs);
+  RunCasesThroughManager(MainCases(), &BindMainInputs, policy, ctrl, outputs);
   if (::testing::Test::HasFatalFailure()) return;
-  RunCasesThroughManager({LogRegCase()}, &BindLogRegInputs, policy, stealing,
-                         ctrl, outputs);
+  RunCasesThroughManager({LogRegCase()}, &BindLogRegInputs, policy, ctrl,
+                         outputs);
 }
 
 TEST(RevocationE8Test, SeededRevocationsPreserveResultsBitForBit) {
-  // Clean reference: no fault plan, FIFO, no stealing.
+  // Clean reference: no fault plan, FIFO.
   std::map<std::string, DenseMatrix> reference;
-  RunE8Workload(SchedPolicy::kFifo, false, nullptr, &reference);
+  RunE8Workload(SchedPolicy::kFifo, nullptr, &reference);
   ASSERT_FALSE(reference.empty());
 
   const SchedPolicy policies[] = {SchedPolicy::kFifo, SchedPolicy::kFairShare,
                                   SchedPolicy::kEdf};
   for (SchedPolicy policy : policies) {
-    for (bool stealing : {false, true}) {
-      SCOPED_TRACE(StrCat("policy=", SchedPolicyName(policy),
-                          " stealing=", stealing ? "on" : "off"));
-      // Machine 1 is gone before the first task; machine 3 dies almost
-      // immediately after the wall clock arms. Both losses relocate work
-      // onto the two survivors.
-      RevocationController ctrl(RevocationSchedule::Scripted(
-          {{1, 0.0}, {3, 0.01}}));
-      std::map<std::string, DenseMatrix> faulted;
-      RunE8Workload(policy, stealing, &ctrl, &faulted);
-      if (::testing::Test::HasFatalFailure()) return;
+    SCOPED_TRACE(StrCat("policy=", SchedPolicyName(policy)));
+    // Machine 1 is gone before the first task; machine 3 dies almost
+    // immediately after the wall clock arms. Both losses relocate work
+    // onto the two survivors.
+    RevocationController ctrl(RevocationSchedule::Scripted(
+        {{1, 0.0}, {3, 0.01}}));
+    std::map<std::string, DenseMatrix> faulted;
+    RunE8Workload(policy, &ctrl, &faulted);
+    if (::testing::Test::HasFatalFailure()) return;
 
-      EXPECT_GE(ctrl.fired_count(), 1);
-      ASSERT_EQ(faulted.size(), reference.size());
-      for (const auto& [key, expected] : reference) {
-        auto it = faulted.find(key);
-        ASSERT_NE(it, faulted.end()) << key;
-        auto diff = expected.MaxAbsDiff(it->second);
-        ASSERT_TRUE(diff.ok()) << key << ": " << diff.status();
-        EXPECT_EQ(diff.value(), 0.0)
-            << key << " diverged under revocation";
-      }
+    EXPECT_GE(ctrl.fired_count(), 1);
+    ASSERT_EQ(faulted.size(), reference.size());
+    for (const auto& [key, expected] : reference) {
+      auto it = faulted.find(key);
+      ASSERT_NE(it, faulted.end()) << key;
+      auto diff = expected.MaxAbsDiff(it->second);
+      ASSERT_TRUE(diff.ok()) << key << ": " << diff.status();
+      EXPECT_EQ(diff.value(), 0.0) << key << " diverged under revocation";
     }
   }
 }

@@ -2,8 +2,7 @@
 // per-node memory budget must spill panels, stay under the ledger cap,
 // and still produce outputs bit-identical to the unbudgeted resident run
 // — over the full job mix (split-k matmul + epilogue, ew chain,
-// aggregate, transpose) at several budget settings. Plus the ReduceMode
-// resolution contract, the opt-in fast reductions' tolerance, and the
+// aggregate, transpose) at several budget settings. Plus the
 // panel-partial aggregate building blocks.
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 #include "dfs/sim_dfs.h"
 #include "exec/executor.h"
 #include "exec/physical_plan.h"
-#include "matrix/kernel_config.h"
 #include "matrix/tile_ops.h"
 #include "matrix/tile_store.h"
 #include "matrix/tiled_matrix.h"
@@ -46,13 +44,12 @@ struct PipelineOutputs {
 };
 
 /// The prefetch_test pipeline (every job type) run under a per-node memory
-/// budget. budget_bytes <= 0 = unbudgeted resident baseline. With work
-/// stealing each stolen split opens its own reader (no cross-unit reuse);
-/// the classic path keeps one task-wide reader whose memoized panels are
-/// re-read across output tiles — the pattern that produces re-fetches.
+/// budget. budget_bytes <= 0 = unbudgeted resident baseline. Each task
+/// keeps one task-wide reader whose memoized panels are re-read across
+/// output tiles — the pattern that produces re-fetches.
 Status RunBudgetedPlan(int64_t budget_bytes, uint64_t seed,
                        DfsTileStore* store, PipelineOutputs* out,
-                       PlanStats* stats_out, bool work_stealing = true,
+                       PlanStats* stats_out,
                        MatMulParams mm_params = MatMulParams{1, 1, 1}) {
   const int64_t n = 128 + 64 * (seed % 2);  // vary shape across seeds
   TiledMatrix a{"A", TileLayout::Square(n, n, kTile)};
@@ -79,7 +76,6 @@ Status RunBudgetedPlan(int64_t budget_bytes, uint64_t seed,
   exec_options.job_startup_seconds = 0.0;
   exec_options.prefetch_budget_bytes = 2 * kTileMem;
   exec_options.memory_budget_bytes = budget_bytes;
-  exec_options.enable_work_stealing = work_stealing;
   Executor executor(store, &engine, &cost, exec_options);
 
   PhysicalPlan plan;
@@ -160,10 +156,9 @@ TEST_P(StreamingFuzzTest, BudgetedRunsBitIdenticalToResidentBaseline) {
 
   // Re-fetch check. Tasks must revisit tiles for a re-fetch to exist at
   // all, so use 2x2 output blocks with a full-k fold (each A panel is
-  // reused across the block's j range) and the classic task-wide reader
-  // (work stealing off — stolen splits each open a fresh reader and never
-  // revisit a spilled panel). The different fold order changes the FP
-  // addition sequence, so this run gets its own unbudgeted baseline.
+  // reused across the block's j range). The different fold order changes
+  // the FP addition sequence, so this run gets its own unbudgeted
+  // baseline.
   const MatMulParams blocked{2, 2, 0};
   SimDfs dfs_rbase(SlowDfs(0.001)), dfs_tight(SlowDfs(0.001));
   DfsTileStore store_rbase(&dfs_rbase, /*verify_checksums=*/true);
@@ -171,12 +166,10 @@ TEST_P(StreamingFuzzTest, BudgetedRunsBitIdenticalToResidentBaseline) {
   PipelineOutputs out_rbase, out_tight;
   PlanStats stats_rbase, stats_tight;
   auto st_rbase = RunBudgetedPlan(0, seed, &store_rbase, &out_rbase,
-                                  &stats_rbase, /*work_stealing=*/false,
-                                  blocked);
+                                  &stats_rbase, blocked);
   ASSERT_TRUE(st_rbase.ok()) << st_rbase;
   auto st_tight = RunBudgetedPlan(6 * kTileMem, seed, &store_tight,
-                                  &out_tight, &stats_tight,
-                                  /*work_stealing=*/false, blocked);
+                                  &out_tight, &stats_tight, blocked);
   ASSERT_TRUE(st_tight.ok()) << st_tight;
   ExpectBitIdentical(out_rbase.c, &store_rbase, &store_tight, 6 * kTileMem);
   ExpectBitIdentical(out_rbase.ew, &store_rbase, &store_tight, 6 * kTileMem);
@@ -234,39 +227,7 @@ TEST(StreamingExecutorTest, BudgetAboveCacheReserveRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// ReduceMode resolution (pure logic; the env override is passed in).
-// ---------------------------------------------------------------------------
-
-TEST(ReduceModeTest, ResolutionContract) {
-  using RM = ReduceMode;
-  // Opt-in only: kAuto stays ordered unless the env says fast.
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, nullptr), RM::kOrdered);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, ""), RM::kOrdered);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, "banana"), RM::kOrdered);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, "fast"), RM::kFast);
-  // Explicit kOrdered always wins.
-  EXPECT_EQ(ResolveReduceModeWith(RM::kOrdered, "fast"), RM::kOrdered);
-  // Explicit kFast is honored unless the env forces ordered (CI lane).
-  EXPECT_EQ(ResolveReduceModeWith(RM::kFast, nullptr), RM::kFast);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kFast, "ordered"), RM::kOrdered);
-  EXPECT_EQ(ResolveReduceModeWith(RM::kAuto, "ordered"), RM::kOrdered);
-}
-
-TEST(ReduceModeTest, ParseAndName) {
-  ReduceMode mode = ReduceMode::kAuto;
-  EXPECT_TRUE(ParseReduceMode("ordered", &mode));
-  EXPECT_EQ(mode, ReduceMode::kOrdered);
-  EXPECT_TRUE(ParseReduceMode("fast", &mode));
-  EXPECT_EQ(mode, ReduceMode::kFast);
-  EXPECT_TRUE(ParseReduceMode("auto", &mode));
-  EXPECT_EQ(mode, ReduceMode::kAuto);
-  EXPECT_FALSE(ParseReduceMode("FAST", &mode)) << "case-sensitive";
-  EXPECT_EQ(mode, ReduceMode::kAuto) << "failed parse leaves *out alone";
-  EXPECT_STREQ(ReduceModeName(ReduceMode::kFast), "fast");
-}
-
-// ---------------------------------------------------------------------------
-// Fast reductions: reassociated, so tolerance-equal — never bit-required.
+// Panel-partial aggregates: the streamed aggregate's building blocks.
 // ---------------------------------------------------------------------------
 
 Tile GaussianTile(int64_t rows, int64_t cols, uint64_t seed) {
@@ -275,56 +236,6 @@ Tile GaussianTile(int64_t rows, int64_t cols, uint64_t seed) {
   FillGaussian(&t, &rng);
   return t;
 }
-
-TEST(FastReduceTest, TileSumWithinTolerance) {
-  const Tile t = GaussianTile(64, 64, 11);
-  const double ordered = TileSumWithMode(ReduceMode::kOrdered, t);
-  const double fast = TileSumWithMode(ReduceMode::kFast, t);
-  EXPECT_NEAR(fast, ordered, 1e-9 * (1.0 + std::abs(ordered)));
-  // Ragged edge: the unroll tail must cover every element.
-  const Tile odd = GaussianTile(7, 13, 12);
-  EXPECT_NEAR(TileSumWithMode(ReduceMode::kFast, odd),
-              TileSumWithMode(ReduceMode::kOrdered, odd), 1e-12);
-}
-
-TEST(FastReduceTest, RowSumsWithinTolerance) {
-  const Tile t = GaussianTile(64, 64, 13);
-  Tile ordered(64, 1), fast(64, 1);
-  FillTile(&ordered, 0.0);
-  FillTile(&fast, 0.0);
-  ASSERT_TRUE(RowSumsIntoWithMode(ReduceMode::kOrdered, t, &ordered).ok());
-  ASSERT_TRUE(RowSumsIntoWithMode(ReduceMode::kFast, t, &fast).ok());
-  for (int64_t r = 0; r < 64; ++r) {
-    EXPECT_NEAR(fast.At(r, 0), ordered.At(r, 0),
-                1e-9 * (1.0 + std::abs(ordered.At(r, 0))))
-        << "row " << r;
-  }
-}
-
-TEST(FastReduceTest, FrobeniusNormWithinTolerance) {
-  const Tile t = GaussianTile(33, 65, 14);
-  const double ordered = FrobeniusNormWithMode(ReduceMode::kOrdered, t);
-  const double fast = FrobeniusNormWithMode(ReduceMode::kFast, t);
-  EXPECT_NEAR(fast, ordered, 1e-9 * (1.0 + ordered));
-  EXPECT_GT(fast, 0.0);
-}
-
-TEST(FastReduceTest, DefaultEntryPointsStayOnTheOracle) {
-  // TileSum / RowSumsInto / FrobeniusNorm resolve kAuto; without a
-  // CUMULON_REDUCE=fast override they must equal the ordered oracle
-  // bit-for-bit. (The CI fast lane sets the env and exercises the other
-  // branch; this guards the default.)
-  if (ResolveReduceMode(ReduceMode::kAuto) != ReduceMode::kOrdered) {
-    GTEST_SKIP() << "CUMULON_REDUCE=fast is set for this process";
-  }
-  const Tile t = GaussianTile(48, 48, 15);
-  EXPECT_EQ(TileSum(t), TileSumWithMode(ReduceMode::kOrdered, t));
-  EXPECT_EQ(FrobeniusNorm(t), FrobeniusNormWithMode(ReduceMode::kOrdered, t));
-}
-
-// ---------------------------------------------------------------------------
-// Panel-partial aggregates: the streamed aggregate's building blocks.
-// ---------------------------------------------------------------------------
 
 TEST(AggPanelTest, OnePanelMatchesFlatFold) {
   // Up to kAggPanelTiles tiles form a single panel; its partial combined

@@ -2,12 +2,12 @@
 // T(X) under a multiply (the operand is marked transposed, no transpose
 // job) must compute exactly the bits of the same program with the
 // transpose materialized by an explicit `Xt = T(X)` assignment — for
-// RSVD-1, a GNMF iteration and a linreg step, in both kernel modes, with
-// work stealing on and off, under a memory budget, with split-k
-// multiplies, and on a ragged tile grid.
+// RSVD-1, a GNMF iteration and a linreg step, in both kernel modes, under
+// a memory budget, with split-k multiplies, and on a ragged tile grid.
 
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,11 +32,14 @@ constexpr int64_t kTile = 8;
 struct RunConfig {
   const char* name;
   KernelMode kernel = KernelMode::kAuto;
-  bool stealing = false;
   int64_t memory_budget_bytes = 0;
   bool split_k = false;
   bool ragged = false;  // matrix dims that are not multiples of the tile
 };
+
+// Without this gtest prints a RunConfig as its raw bytes, `name`'s address
+// among them, so the listed test names would change from process to process.
+void PrintTo(const RunConfig& config, std::ostream* os) { *os << config.name; }
 
 /// A program written two ways over the same inputs.
 struct ProgramPair {
@@ -145,7 +148,6 @@ void LowerAndRun(const Program& program, const std::vector<TiledMatrix>& inputs,
   ExecutorOptions options;
   options.job_startup_seconds = 0.0;
   options.kernel_mode = config.kernel;
-  options.enable_work_stealing = config.stealing;
   options.memory_budget_bytes = config.memory_budget_bytes;
   Executor executor(store, &engine, &cost, options);
   auto stats = executor.Run(lowered->plan);
@@ -215,15 +217,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         RunConfig{"scalar", KernelMode::kScalar},
         RunConfig{"simd", KernelMode::kAuto},
-        RunConfig{"scalar_steal", KernelMode::kScalar, true},
-        RunConfig{"simd_steal", KernelMode::kAuto, true},
-        RunConfig{"scalar_budget", KernelMode::kScalar, false, kTightBudget},
-        RunConfig{"simd_budget", KernelMode::kAuto, false, kTightBudget},
-        RunConfig{"scalar_split_k", KernelMode::kScalar, false, 0, true},
-        RunConfig{"simd_split_k", KernelMode::kAuto, false, 0, true},
-        RunConfig{"scalar_ragged", KernelMode::kScalar, false, 0, false,
-                  true},
-        RunConfig{"simd_ragged", KernelMode::kAuto, false, 0, false, true}),
+        RunConfig{"scalar_budget", KernelMode::kScalar, kTightBudget},
+        RunConfig{"simd_budget", KernelMode::kAuto, kTightBudget},
+        RunConfig{"scalar_split_k", KernelMode::kScalar, 0, true},
+        RunConfig{"simd_split_k", KernelMode::kAuto, 0, true},
+        RunConfig{"scalar_ragged", KernelMode::kScalar, 0, false, true},
+        RunConfig{"simd_ragged", KernelMode::kAuto, 0, false, true}),
     [](const ::testing::TestParamInfo<RunConfig>& info) {
       return std::string(info.param.name);
     });

@@ -32,6 +32,7 @@
 // Workloads: the svc catalog (src/svc/catalog.h) — the mm-s/m/l/xl matmul
 // ladder plus rsvd, gnmf, linreg, pagerank, logreg at cloud scale.
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -62,7 +63,59 @@ struct Args {
     auto it = flags.find(name);
     return it == flags.end() ? fallback : std::atoi(it->second.c_str());
   }
+  /// A count flag (machines, slots): the whole value must be a decimal
+  /// number >= 1. Absent = fallback.
+  Result<int> GetCount(const std::string& name, int fallback) const {
+    auto it = flags.find(name);
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    int value = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end || value < 1) {
+      return Status::InvalidArgument(StrCat(
+          "--", name, " must be a whole number >= 1, got '", text, "'"));
+    }
+    return value;
+  }
 };
+
+void PrintUsage() {
+  std::fprintf(stderr,
+               "usage: cumulon <command> [flags]\n"
+               "  calibrate\n"
+               "  predict --workload W [--type T] [--machines N] [--slots S]"
+               " [--scale F] [--no-tuner 1] [--memory-budget-mb MB]"
+               " [--trace FILE] [--metrics 1]\n"
+               "  plan    --workload W [--deadline MIN] [--budget DOLLARS]"
+               " [--scale F]\n"
+               "  submit  --workloads W1,W2,... [--deadline-seconds S[,S2..]]"
+               " [--budget-dollars D[,D2..]] [--policy fifo|fair|edf]"
+               " [--concurrent N] [--type T] [--machines N] [--slots S]"
+               " [--scale F] [--trace FILE] [--json 1]\n"
+               "  serve   --listen unix:PATH|tcp:HOST:PORT [--state-dir DIR]"
+               " [--min-machines N] [--max-machines N] [--machines N]"
+               " [--slots S] [--concurrent N] [--policy fifo|fair|edf]"
+               " [--quota-inflight N] [--quota-budget D] [--elastic 0|1]"
+               " [--type T] [--scale F] [--trace FILE]\n");
+}
+
+/// Reports a malformed command line: the error, then the usage. Exit 2.
+int UsageError(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  PrintUsage();
+  return 2;
+}
+
+/// The cluster --machines (default 8) and --slots (default two per core)
+/// describe on `machine`.
+Result<ClusterConfig> ClusterFromArgs(const Args& args,
+                                      const MachineProfile& machine) {
+  CUMULON_ASSIGN_OR_RETURN(const int machines, args.GetCount("machines", 8));
+  CUMULON_ASSIGN_OR_RETURN(const int slots,
+                           args.GetCount("slots", 2 * machine.cores));
+  return ClusterConfig{machine, machines, slots};
+}
 
 Result<Args> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
@@ -133,8 +186,9 @@ int RunPredict(const Args& args) {
     std::fprintf(stderr, "%s\n", machine.status().ToString().c_str());
     return 1;
   }
-  ClusterConfig cluster{machine.value(), args.GetInt("machines", 8),
-                        args.GetInt("slots", 2 * machine->cores)};
+  auto parsed_cluster = ClusterFromArgs(args, *machine);
+  if (!parsed_cluster.ok()) return UsageError(parsed_cluster.status());
+  const ClusterConfig& cluster = *parsed_cluster;
   PredictorOptions options;
   options.lowering.tile_dim = 2048;
   options.tune_mm_per_job = !args.Has("no-tuner");
@@ -215,8 +269,9 @@ int RunSubmit(const Args& args) {
     std::fprintf(stderr, "%s\n", machine.status().ToString().c_str());
     return 1;
   }
-  ClusterConfig cluster{machine.value(), args.GetInt("machines", 8),
-                        args.GetInt("slots", 2 * machine->cores)};
+  auto parsed_cluster = ClusterFromArgs(args, *machine);
+  if (!parsed_cluster.ok()) return UsageError(parsed_cluster.status());
+  const ClusterConfig& cluster = *parsed_cluster;
   auto policy = ParseSchedPolicy(args.Get("policy", "edf"));
   if (!policy.ok()) {
     std::fprintf(stderr, "%s\n", policy.status().ToString().c_str());
@@ -516,35 +571,11 @@ int RunServe(const Args& args) {
   return 0;
 }
 
-void PrintUsage() {
-  std::fprintf(stderr,
-               "usage: cumulon <command> [flags]\n"
-               "  calibrate\n"
-               "  predict --workload W [--type T] [--machines N] [--slots S]"
-               " [--scale F] [--no-tuner 1] [--memory-budget-mb MB]"
-               " [--trace FILE] [--metrics 1]\n"
-               "  plan    --workload W [--deadline MIN] [--budget DOLLARS]"
-               " [--scale F]\n"
-               "  submit  --workloads W1,W2,... [--deadline-seconds S[,S2..]]"
-               " [--budget-dollars D[,D2..]] [--policy fifo|fair|edf]"
-               " [--concurrent N] [--type T] [--machines N] [--slots S]"
-               " [--scale F] [--trace FILE] [--json 1]\n"
-               "  serve   --listen unix:PATH|tcp:HOST:PORT [--state-dir DIR]"
-               " [--min-machines N] [--max-machines N] [--machines N]"
-               " [--slots S] [--concurrent N] [--policy fifo|fair|edf]"
-               " [--quota-inflight N] [--quota-budget D] [--elastic 0|1]"
-               " [--type T] [--scale F] [--trace FILE]\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   auto args = ParseArgs(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    PrintUsage();
-    return 2;
-  }
+  if (!args.ok()) return UsageError(args.status());
   if (args->command == "calibrate") return RunCalibrate();
   if (args->command == "predict") return RunPredict(*args);
   if (args->command == "plan") return RunPlan(*args);
