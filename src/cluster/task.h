@@ -129,18 +129,6 @@ struct JobStats {
   /// was I/O wait the prefetch pipeline did not hide.
   double stall_seconds = 0.0;
 
-  // Out-of-core streaming activity during the job (the executor fills
-  // these from the MemoryBudgetGroup's counter deltas around RunJob; all
-  // zero without a memory budget). Evictions are pinned panels dropped
-  // under budget pressure, refetches are previously spilled panels read
-  // again from the DFS, unpinned reads streamed through without ever
-  // being pinned. Surfaced as exec.spill.* metrics.
-  int64_t spill_evictions = 0;
-  int64_t spill_evicted_bytes = 0;
-  int64_t spill_refetches = 0;
-  int64_t spill_refetch_bytes = 0;
-  int64_t spill_unpinned_reads = 0;
-
   // Transient-machine losses observed during the job (cloud/revocation.h):
   // machines whose revocation fired while this job ran, tasks whose
   // in-flight attempt was killed and re-placed on a surviving machine, and

@@ -74,11 +74,6 @@ void Executor::TagJobSpec(JobSpec* spec, int64_t trace_parent) const {
 }
 
 Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
-  // exec.* counters of this run go to a private registry as well as the
-  // shared one: with concurrent Run calls the shared before/after delta
-  // would fold other plans' activity in, so PlanStats::metrics takes its
-  // exec.* values from the per-run registry instead.
-  MetricsRegistry run_metrics;
   const MetricsSnapshot before = metrics_->Snapshot();
   // One memory-budget group per run: task closures capture a borrowed
   // pointer, and every closure has finished (the engine's completion
@@ -102,15 +97,33 @@ Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
       CUMULON_CHECK(memory_budget->node(node)->TryAcquire(cache_reserve));
     }
   }
-  CUMULON_ASSIGN_OR_RETURN(
-      PlanStats stats,
-      RunRounds(plan, &run_metrics, memory_budget.get()));
+  CUMULON_ASSIGN_OR_RETURN(PlanStats stats,
+                           RunRounds(plan, memory_budget.get()));
   if (TileCacheGroup* caches = engine_->tile_caches()) {
     const TileCacheStats totals = caches->TotalStats();
     metrics_->gauge("cache.resident_bytes")->Set(totals.resident_bytes);
     metrics_->gauge("cache.resident_tiles")->Set(totals.resident_tiles);
   }
   if (memory_budget != nullptr) {
+    // The group served this run alone, so its totals are the run's exact
+    // spill figures.
+    const MemoryBudget::Counters spill = memory_budget->TotalCounters();
+    stats.spill_evictions = spill.evictions;
+    stats.spill_evicted_bytes = spill.evicted_bytes;
+    stats.spill_refetches = spill.refetches;
+    stats.spill_refetch_bytes = spill.refetch_bytes;
+    stats.spill_unpinned_reads = spill.unpinned_reads;
+    // Spill counters appear only when the run actually streamed under
+    // budget pressure, so unbudgeted runs keep their exact historical
+    // metric set.
+    if (spill.evictions > 0 || spill.refetches > 0 ||
+        spill.unpinned_reads > 0) {
+      metrics_->counter("exec.spill.evictions")->Add(spill.evictions);
+      metrics_->counter("exec.spill.bytes")->Add(spill.evicted_bytes);
+      metrics_->counter("exec.spill.refetches")->Add(spill.refetches);
+      metrics_->counter("exec.spill.refetch_bytes")->Add(spill.refetch_bytes);
+      metrics_->counter("exec.spill.unpinned")->Add(spill.unpinned_reads);
+    }
     stats.memory_peak_bytes = memory_budget->MaxPeakBytes();
     metrics_->gauge("mem.budget.bytes")
         ->Set(options_.memory_budget_bytes);
@@ -119,18 +132,6 @@ Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
         ->Set(CacheReserveBytes());
   }
   stats.metrics = SnapshotDelta(before, metrics_->Snapshot());
-  // Replace the shared-delta exec.* counters with the per-run exact ones.
-  for (auto it = stats.metrics.counters.begin();
-       it != stats.metrics.counters.end();) {
-    if (it->first.rfind("exec.", 0) == 0) {
-      it = stats.metrics.counters.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (const auto& [name, value] : run_metrics.Snapshot().counters) {
-    stats.metrics.counters[name] = value;
-  }
   return stats;
 }
 
@@ -212,8 +213,7 @@ void Executor::EndJobTrace(const JobTraceScope& scope,
 }
 
 void Executor::FoldJobStats(const std::string& name, JobStats stats,
-                            PlanStats* totals,
-                            MetricsRegistry* run_metrics) {
+                            PlanStats* totals) {
   totals->total_seconds +=
       stats.duration_seconds + options_.job_startup_seconds;
   totals->bytes_read += stats.bytes_read;
@@ -224,46 +224,19 @@ void Executor::FoldJobStats(const std::string& name, JobStats stats,
   totals->cache_misses += stats.cache_misses;
   totals->bytes_read_cached += stats.bytes_read_cached;
   totals->stall_seconds += stats.stall_seconds;
-  totals->spill_evictions += stats.spill_evictions;
-  totals->spill_evicted_bytes += stats.spill_evicted_bytes;
-  totals->spill_refetches += stats.spill_refetches;
-  totals->spill_refetch_bytes += stats.spill_refetch_bytes;
-  totals->spill_unpinned_reads += stats.spill_unpinned_reads;
   totals->revoked_machines += stats.revoked_machines;
   totals->rescheduled_tasks += stats.rescheduled_tasks;
   totals->revoked_wasted_seconds += stats.revoked_wasted_seconds;
 
-  // Every exec.* counter goes to the shared registry (global totals), the
-  // per-run registry (PlanStats::metrics), and — when the plan is tagged —
-  // a plan.<tag>.exec.* copy so concurrent tenants stay distinguishable.
-  auto add = [&](const char* metric, int64_t delta) {
-    metrics_->counter(metric)->Add(delta);
-    run_metrics->counter(metric)->Add(delta);
-    if (!options_.plan_tag.empty()) {
-      metrics_->counter(StrCat("plan.", options_.plan_tag, ".", metric))
-          ->Add(delta);
-    }
-  };
-  add("exec.jobs", 1);
-  add("exec.tasks", stats.num_tasks);
-  add("exec.tasks.nonlocal", stats.num_non_local_tasks);
-  add("exec.bytes.read", stats.bytes_read);
-  add("exec.bytes.written", stats.bytes_written);
-  add("exec.bytes.shuffle", stats.shuffle_bytes);
-  add("exec.cache.hits", stats.cache_hits);
-  add("exec.cache.misses", stats.cache_misses);
-  add("exec.cache.hit_bytes", stats.bytes_read_cached);
-  // Spill counters appear only when the job actually streamed under
-  // budget pressure, so unbudgeted runs keep their exact historical
-  // metric set.
-  if (stats.spill_evictions > 0 || stats.spill_refetches > 0 ||
-      stats.spill_unpinned_reads > 0) {
-    add("exec.spill.evictions", stats.spill_evictions);
-    add("exec.spill.bytes", stats.spill_evicted_bytes);
-    add("exec.spill.refetches", stats.spill_refetches);
-    add("exec.spill.refetch_bytes", stats.spill_refetch_bytes);
-    add("exec.spill.unpinned", stats.spill_unpinned_reads);
-  }
+  metrics_->counter("exec.jobs")->Increment();
+  metrics_->counter("exec.tasks")->Add(stats.num_tasks);
+  metrics_->counter("exec.tasks.nonlocal")->Add(stats.num_non_local_tasks);
+  metrics_->counter("exec.bytes.read")->Add(stats.bytes_read);
+  metrics_->counter("exec.bytes.written")->Add(stats.bytes_written);
+  metrics_->counter("exec.bytes.shuffle")->Add(stats.shuffle_bytes);
+  metrics_->counter("exec.cache.hits")->Add(stats.cache_hits);
+  metrics_->counter("exec.cache.misses")->Add(stats.cache_misses);
+  metrics_->counter("exec.cache.hit_bytes")->Add(stats.bytes_read_cached);
 
   totals->jobs.push_back(JobRecord{name, std::move(stats)});
 }
@@ -282,20 +255,7 @@ void Executor::RecordCacheActivity(const TileCacheStats& before,
   }
 }
 
-void Executor::RecordSpillActivity(const MemoryBudget::Counters& before,
-                                   const MemoryBudgetGroup* memory_budget,
-                                   JobStats* stats) const {
-  if (memory_budget == nullptr) return;
-  const MemoryBudget::Counters after = memory_budget->TotalCounters();
-  stats->spill_evictions = after.evictions - before.evictions;
-  stats->spill_evicted_bytes = after.evicted_bytes - before.evicted_bytes;
-  stats->spill_refetches = after.refetches - before.refetches;
-  stats->spill_refetch_bytes = after.refetch_bytes - before.refetch_bytes;
-  stats->spill_unpinned_reads = after.unpinned_reads - before.unpinned_reads;
-}
-
 Result<PlanStats> Executor::RunRounds(const PhysicalPlan& plan,
-                                      MetricsRegistry* run_metrics,
                                       MemoryBudgetGroup* memory_budget) {
   const BuildContext ctx = MakeBuildContext(memory_budget);
 
@@ -342,15 +302,11 @@ Result<PlanStats> Executor::RunRounds(const PhysicalPlan& plan,
     const TileCacheStats cache_before =
         engine_->tile_caches() != nullptr ? engine_->tile_caches()->TotalStats()
                                           : TileCacheStats{};
-    const MemoryBudget::Counters spill_before =
-        memory_budget != nullptr ? memory_budget->TotalCounters()
-                                 : MemoryBudget::Counters{};
     const JobTraceScope trace = BeginJobTrace(name);
     TagJobSpec(&spec, trace.job_id);
     CUMULON_ASSIGN_OR_RETURN(JobStats stats, engine_->RunJob(spec));
     EndJobTrace(trace, stats);
     RecordCacheActivity(cache_before, &stats);
-    RecordSpillActivity(spill_before, memory_budget, &stats);
 
     if (!options_.real_mode) {
       // Register output tile placement so later jobs get correct locality.
@@ -364,7 +320,7 @@ Result<PlanStats> Executor::RunRounds(const PhysicalPlan& plan,
       }
     }
 
-    FoldJobStats(name, std::move(stats), &totals, run_metrics);
+    FoldJobStats(name, std::move(stats), &totals);
   }
 
   CUMULON_RETURN_IF_ERROR(DropTemporaries(plan));

@@ -83,21 +83,18 @@ struct ExecutorOptions {
   /// options for task-level spans.
   Tracer* tracer = nullptr;
 
-  /// Destination of the exec.* metrics. PlanStats::metrics scopes its
-  /// exec.* counters to this run (a private per-run registry), so two
-  /// concurrent Run calls sharing this registry never double-count each
-  /// other's deltas; non-exec names (engine.*, dfs.*) are still the shared
-  /// registry's delta and are best-effort under concurrency. Borrowed; the
-  /// executor owns a private registry when null.
+  /// Destination of the exec.* metrics. PlanStats::metrics is this
+  /// registry's delta across Run: exact when runs are serial, best-effort
+  /// when concurrent runs share it. Borrowed; the executor
+  /// owns a private registry when null.
   MetricsRegistry* metrics = nullptr;
 
   // --- Multi-tenant scheduling (sched/workload_manager.h) ---------------
   // Defaults preserve the classic exclusive-engine behavior.
 
   /// Identity of the plan this executor runs on behalf of. plan_tag
-  /// prefixes job/task span names and scopes tagged metric copies
-  /// (plan.<tag>.exec.*); plan_id picks the driver trace lane and tags
-  /// span args. plan_id < 0 = untagged.
+  /// prefixes job/task span names; plan_id picks the driver trace lane
+  /// and tags span args. plan_id < 0 = untagged.
   int64_t plan_id = -1;
   std::string plan_tag;
 
@@ -118,14 +115,14 @@ struct JobRecord {
 
 /// Aggregate outcome of running a plan.
 ///
-/// Concurrency contract: a PlanStats is built and read by the single driver
-/// thread of one Executor::Run — its fields need no lock. The engine-side
-/// inputs it aggregates are published to that thread with real
-/// synchronization, not convention: per-task TaskRunInfo via the engine's
-/// completion latch (RealEngine's JobSync mutex) and counter values via the
-/// internally synchronized MetricsRegistry. Anything folded in from a
-/// *shared* registry or cache under concurrent plans is best-effort, which
-/// is why the exec.* counters come from the per-run private registry.
+/// The typed fields are the one exact channel for a plan's figures. They
+/// are built and read by the single driver thread of one Executor::Run, so
+/// they need no lock. The engine-side inputs they aggregate are published
+/// to that thread with real synchronization, not convention: per-task
+/// TaskRunInfo via the engine's completion latch (RealEngine's JobSync
+/// mutex) and spill counters via the run's own MemoryBudgetGroup. Anything
+/// read from a *shared* registry or cache under concurrent plans is
+/// best-effort: `metrics` and the per-job cache deltas.
 struct PlanStats {
   std::vector<JobRecord> jobs;
   double total_seconds = 0.0;  // job durations + per-job startup
@@ -145,8 +142,8 @@ struct PlanStats {
   /// model's residual read time in sim mode.
   double stall_seconds = 0.0;
 
-  // Out-of-core spill totals over the plan (sums of the jobs' JobStats
-  // spill fields; all zero without a memory budget).
+  // Out-of-core spill totals over the plan, read from the run's
+  // MemoryBudgetGroup when it ends (all zero without a memory budget).
   int64_t spill_evictions = 0;
   int64_t spill_evicted_bytes = 0;
   int64_t spill_refetches = 0;
@@ -166,12 +163,10 @@ struct PlanStats {
   int rescheduled_tasks = 0;
   double revoked_wasted_seconds = 0.0;
 
-  /// Metrics recorded during this run: the exec.* counters mirroring the
-  /// fields above come from a per-run registry (exact even when other
-  /// plans run concurrently against the same shared registry), while
-  /// engine.*/dfs.* names are the shared registry's delta across Run()
-  /// (best-effort under concurrency). FormatPlanStats reads its
-  /// cache/locality figures from here.
+  /// The shared registry's delta across Run(): exact when runs are
+  /// serial, best-effort under concurrency. A plan's own figures are the
+  /// fields above; read names that have no field (dfs.*, cache.*,
+  /// prefetch.*, engine.*) from here.
   MetricsSnapshot metrics;
 };
 
@@ -182,10 +177,10 @@ struct PlanStats {
 ///
 /// Run is safe to call concurrently (same or different Executor instances
 /// over one shared engine/store): all per-run state lives on the stack,
-/// exec.* deltas are scoped to a per-run registry, and the engines
-/// arbitrate slots through ExecutorOptions::slot_pool. The per-job cache
-/// deltas in JobRecord::stats are best-effort under concurrency (the
-/// engine's cache counters are shared).
+/// and the engines arbitrate slots through ExecutorOptions::slot_pool.
+/// PlanStats::metrics and the per-job cache deltas in JobRecord::stats
+/// are best-effort under concurrency (the registry and the engine's cache
+/// counters are shared).
 class Executor {
  public:
   /// All pointers are borrowed and must outlive the executor.
@@ -212,7 +207,6 @@ class Executor {
   /// Runs the plan's jobs in scheduling rounds: one job per round, or —
   /// with parallelize_independent_jobs — one dependency level per round.
   Result<PlanStats> RunRounds(const PhysicalPlan& plan,
-                              MetricsRegistry* run_metrics,
                               MemoryBudgetGroup* memory_budget);
   Status DropTemporaries(const PhysicalPlan& plan);
 
@@ -236,12 +230,6 @@ class Executor {
   void RecordCacheActivity(const TileCacheStats& before,
                            JobStats* stats) const;
 
-  /// Folds the memory-budget group's spill-counter delta across one job
-  /// into `stats` (no-op when unbudgeted).
-  void RecordSpillActivity(const MemoryBudget::Counters& before,
-                           const MemoryBudgetGroup* memory_budget,
-                           JobStats* stats) const;
-
   /// Opens the job span (after a sim-mode startup span) so the engine's
   /// task spans nest under it.
   JobTraceScope BeginJobTrace(const std::string& name) const;
@@ -252,11 +240,9 @@ class Executor {
   void EndJobTrace(const JobTraceScope& scope, const JobStats& stats) const;
 
   /// Accumulates one job's stats into the plan totals and the exec.*
-  /// metrics: the shared registry (global totals, plus plan.<tag>.exec.*
-  /// copies when tagged) and the per-run registry backing
-  /// PlanStats::metrics.
+  /// counters of the shared registry.
   void FoldJobStats(const std::string& name, JobStats stats,
-                    PlanStats* totals, MetricsRegistry* run_metrics);
+                    PlanStats* totals);
 
   TileStore* store_;
   Engine* engine_;

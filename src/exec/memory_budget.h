@@ -20,9 +20,9 @@ namespace cumulon {
 /// never overcommit. bench_e19_oom CHECK-enforces peak <= budget.
 ///
 /// Spill activity (panel evictions, re-fetches of previously spilled
-/// panels, reads that could not be pinned at all) is counted here too so
-/// the executor can surface per-job deltas as exec.spill.* metrics the
-/// same way it folds cache activity.
+/// panels, reads that could not be pinned at all) is counted here too;
+/// the executor reads a run's totals into PlanStats and the exec.spill.*
+/// metrics when the run ends.
 ///
 /// Thread-safe: one ledger is shared by every task slot on a node.
 class MemoryBudget {

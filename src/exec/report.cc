@@ -8,19 +8,6 @@
 namespace cumulon {
 
 std::string FormatPlanStats(const PlanStats& stats) {
-  // The cache/locality figures come from the run's metrics snapshot (the
-  // exec.* counters the executor maintains); hand-built PlanStats without
-  // a snapshot fall back to the legacy aggregate fields, which the
-  // executor keeps in lockstep.
-  const MetricsSnapshot& m = stats.metrics;
-  const int64_t non_local =
-      m.CounterOr("exec.tasks.nonlocal", stats.non_local_tasks);
-  const int64_t cache_hits = m.CounterOr("exec.cache.hits", stats.cache_hits);
-  const int64_t cache_misses =
-      m.CounterOr("exec.cache.misses", stats.cache_misses);
-  const int64_t cached_bytes =
-      m.CounterOr("exec.cache.hit_bytes", stats.bytes_read_cached);
-
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line), "%-28s %7s %6s %12s %12s %10s\n", "job",
@@ -37,21 +24,22 @@ std::string FormatPlanStats(const PlanStats& stats) {
   }
   std::snprintf(line, sizeof(line),
                 "total: %d tasks (%d non-local), %s read, %s written, %s\n",
-                stats.total_tasks, static_cast<int>(non_local),
+                stats.total_tasks, stats.non_local_tasks,
                 FormatBytes(stats.bytes_read).c_str(),
                 FormatBytes(stats.bytes_written).c_str(),
                 FormatDuration(stats.total_seconds).c_str());
   out += line;
-  if (cache_hits > 0 || cache_misses > 0 || cached_bytes > 0) {
-    const int64_t lookups = cache_hits + cache_misses;
+  if (stats.cache_hits > 0 || stats.cache_misses > 0 ||
+      stats.bytes_read_cached > 0) {
+    const int64_t lookups = stats.cache_hits + stats.cache_misses;
     const double hit_rate =
-        lookups > 0 ? static_cast<double>(cache_hits) / lookups : 0.0;
+        lookups > 0 ? static_cast<double>(stats.cache_hits) / lookups : 0.0;
     std::snprintf(line, sizeof(line),
                   "tile cache: %lld hits / %lld lookups (%.1f%%), %s served "
                   "from cache\n",
-                  static_cast<long long>(cache_hits),
+                  static_cast<long long>(stats.cache_hits),
                   static_cast<long long>(lookups), 100.0 * hit_rate,
-                  FormatBytes(cached_bytes).c_str());
+                  FormatBytes(stats.bytes_read_cached).c_str());
     out += line;
   }
   if (stats.stall_seconds > 0.0) {

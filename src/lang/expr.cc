@@ -28,8 +28,8 @@ ExprPtr Expr::MakeUncheckedForTest(ExprKind kind, int64_t rows, int64_t cols,
 }
 
 void Expr::MutateLeftForTest(const ExprPtr& node, ExprPtr new_left) {
-  // Tying a cycle makes the shared_ptr graph leak; mutation tests accept
-  // that for the handful of nodes involved.
+  // A tied cycle keeps its shared_ptr graph alive: a test that ties one
+  // must untie it before the nodes go out of scope, or they leak.
   const_cast<Expr*>(node.get())->left_ = std::move(new_left);
 }
 

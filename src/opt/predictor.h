@@ -67,8 +67,8 @@ struct PredictorOptions {
   Tracer* tracer = nullptr;
 
   /// Destination of the dfs.*/engine.*/exec.* metrics of the prediction
-  /// run. Borrowed; off when null (the executor still keeps its private
-  /// registry for PlanStats::metrics).
+  /// run. Borrowed; off when null (the executor then counts into a
+  /// registry of its own, which still backs PlanStats::metrics).
   MetricsRegistry* metrics = nullptr;
 };
 

@@ -47,7 +47,7 @@ struct AdmissionEstimate {
 
 /// One plan handed to the manager, with the tenant's constraints.
 struct Submission {
-  /// Plan tag: names trace spans and the plan.<tag>.exec.* metric copies.
+  /// Plan tag: names the plan's trace spans.
   std::string name;
   /// Fair-share accounting group; defaults to `name` when empty.
   std::string tenant;
@@ -135,8 +135,8 @@ struct WorkloadManagerOptions {
   ExecutorOptions executor;
 
   /// Destination of the sched.* metrics (and, via the executors, the
-  /// exec.* and plan.<tag>.exec.* ones). Borrowed; the manager owns a
-  /// private registry when null.
+  /// exec.* ones). Borrowed; the manager owns a private registry when
+  /// null.
   MetricsRegistry* metrics = nullptr;
 
   /// Records one "plan" span per admitted plan (driver row, one lane per

@@ -340,15 +340,11 @@ TEST_F(SchedSimTest, PlanTagsScopeMetricsAndTraceLanes) {
   ASSERT_EQ(out_a.state, PlanState::kDone) << out_a.status;
   ASSERT_EQ(out_b.state, PlanState::kDone) << out_b.status;
 
-  // Tagged per-plan metric copies, exact per plan even though the registry
+  // Each outcome carries its own plan's figures even though the registry
   // is shared: alpha is a 2x2-tile product (4 tasks), beta 3x3 (9 tasks).
-  const MetricsSnapshot snapshot = metrics.Snapshot();
-  EXPECT_EQ(snapshot.CounterOr("plan.alpha.exec.tasks", -1), 4);
-  EXPECT_EQ(snapshot.CounterOr("plan.beta.exec.tasks", -1), 9);
-  EXPECT_EQ(snapshot.CounterOr("exec.tasks", -1), 13);
-  // ... and the per-run PlanStats snapshots saw only their own counters.
-  EXPECT_EQ(out_a.stats.metrics.CounterOr("exec.tasks", -1), 4);
-  EXPECT_EQ(out_b.stats.metrics.CounterOr("exec.tasks", -1), 9);
+  EXPECT_EQ(out_a.stats.total_tasks, 4);
+  EXPECT_EQ(out_b.stats.total_tasks, 9);
+  EXPECT_EQ(metrics.Snapshot().CounterOr("exec.tasks", -1), 13);
 
   // Spans: every task span is tagged with its plan's name and carries a
   // plan arg; per-plan "plan" spans exist on distinct driver lanes.
@@ -374,6 +370,36 @@ TEST_F(SchedSimTest, PlanTagsScopeMetricsAndTraceLanes) {
   EXPECT_EQ(alpha_tasks, 4);
   EXPECT_EQ(beta_tasks, 9);
   EXPECT_EQ(plan_spans, 2);
+}
+
+TEST_F(SchedSimTest, SharedRegistryDoesNotGrowWithPlansServed) {
+  // A long-lived manager serves one tenant's distinctly named plans: the
+  // shared registry's name set must be bounded by what the system does,
+  // not by how many plans it has served.
+  MetricsRegistry metrics;
+  WorkloadManagerOptions options = SimManagerOptions();
+  options.metrics = &metrics;
+  WorkloadManager manager(&store_, engine_.get(), &cost_, options);
+  auto serve = [&](int first, int count) {
+    for (int i = first; i < first + count; ++i) {
+      Submission submission =
+          MakeSubmission(StrCat("plan", i), 1024, 5.0, 0.1);
+      submission.tenant = "tenant";
+      auto id = manager.Submit(std::move(submission));
+      ASSERT_TRUE(id.ok()) << id.status();
+      EXPECT_EQ(manager.Wait(*id).state, PlanState::kDone);
+    }
+  };
+  auto registered_names = [&metrics] {
+    const MetricsSnapshot snapshot = metrics.Snapshot();
+    return snapshot.counters.size() + snapshot.gauges.size() +
+           snapshot.histograms.size();
+  };
+  serve(0, 2);
+  const size_t names_after_two = registered_names();
+  serve(2, 8);
+  EXPECT_EQ(registered_names(), names_after_two);
+  manager.Drain();
 }
 
 // ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ TEST(VerifyExprTest, CycleMutationCaught) {
   // Tie v's descendant back to v: u -> v -> u.
   Expr::MutateLeftForTest(u, v);
   const VerifyReport report = VerifyExpr(v);
+  // Untie the cycle so the shared_ptr graph frees itself.
+  Expr::MutateLeftForTest(u, a);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.Has("verify.expr.cycle")) << report.ToString();
 }

@@ -47,22 +47,12 @@ import sys
 import tempfile
 
 METRIC_NAME_RE = re.compile(
-    r'^(exec|engine|dfs|cache|prefetch|sched|plan|cluster|svc|mem|obs|verify)'
+    r'^(exec|engine|dfs|cache|prefetch|sched|cluster|svc|mem|obs|verify)'
     r'\.[a-z0-9_.]+$')
 METRIC_PREFIX_RE = re.compile(
-    r'^(exec|engine|dfs|cache|prefetch|sched|plan|cluster|svc|mem|obs|verify)'
+    r'^(exec|engine|dfs|cache|prefetch|sched|cluster|svc|mem|obs|verify)'
     r'\.([a-z0-9_.]+\.)?$')
 STRING_LITERAL_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
-
-# Wire-protocol error reasons (svc/message.h) that happen to look like
-# metric names under the prefix heuristic. They are part of the protocol
-# contract documented in docs/service.md, not metrics.
-NON_METRIC_LITERALS = {
-    'plan.unknown',
-    'plan.foreign',
-    'plan.terminal',
-    'plan.not_terminal',
-}
 KIND_CALL_RE = re.compile(r'\b(counter|gauge|histogram)\(\s*"([^"]+)"')
 CATEGORY_RE = re.compile(r'\.category\s*=\s*"([^"]+)"')
 
@@ -179,8 +169,6 @@ def collect_code_usage(src_root):
                     f'Status/Result with .IgnoreError() so the discard is '
                     f'greppable and intentional)')
             for lit in STRING_LITERAL_RE.findall(line):
-                if lit in NON_METRIC_LITERALS:
-                    continue
                 if lit.endswith('.'):
                     if METRIC_PREFIX_RE.match(lit):
                         prefixes.setdefault(lit, where)
