@@ -433,6 +433,199 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
 }
 
 // ---------------------------------------------------------------------------
+// RowPanelJob
+// ---------------------------------------------------------------------------
+
+RowPanelJob::RowPanelJob(std::string name, TiledMatrix x, TiledMatrix v,
+                         TiledMatrix out, std::vector<EwStep> steps)
+    : name_(std::move(name)),
+      x_(std::move(x)),
+      v_(std::move(v)),
+      out_(std::move(out)),
+      steps_(std::move(steps)) {}
+
+int64_t RowPanelJob::NumPartials() const {
+  return (x_.layout.grid_rows() + kPanelsPerTask - 1) / kPanelsPerTask;
+}
+
+std::vector<std::string> RowPanelJob::InputMatrices() const {
+  std::vector<std::string> in = {x_.name, v_.name};
+  AppendStepOperands(steps_, &in);
+  return in;
+}
+
+std::vector<std::string> RowPanelJob::OutputMatrices() const {
+  std::vector<std::string> out;
+  for (int64_t p = 0; p < NumPartials(); ++p) {
+    out.push_back(MatMulJob::PartialName(out_.name, p));
+  }
+  return out;
+}
+
+std::string RowPanelJob::DebugString() const {
+  const std::string inner = StrCat("(", x_.name, " * ", v_.name, ")");
+  return StrCat("RowPanel[", name_, "] ", out_.name, " = ", x_.name, "^T * ",
+                steps_.empty()
+                    ? inner
+                    : StrCat("{", EwChainToString(steps_), "}", inner),
+                " (", NumPartials(), " partials)");
+}
+
+Result<BuiltJob> RowPanelJob::Build(const BuildContext& ctx) const {
+  const TileLayout& lx = x_.layout;
+  const TileLayout& lv = v_.layout;
+  const TileLayout& lz = out_.layout;
+  // U = X * V, the per-panel intermediate f is applied to.
+  const TileLayout lu(lx.rows(), lv.cols(), lx.tile_rows(), lv.tile_cols());
+  if (!InnerAligned(lx, lv)) {
+    return Status::InvalidArgument(
+        StrCat(name_, ": X ", lx.ToString(), " and V ", lv.ToString(),
+               " are not aligned on k"));
+  }
+  if (lv.grid_cols() != 1) {
+    return Status::InvalidArgument(
+        StrCat(name_, ": V ", lv.ToString(), " spans ", lv.grid_cols(),
+               " tile columns, not one"));
+  }
+  if (!RowPartitionsEqual(lz, lx.Transposed()) ||
+      !ColPartitionsEqual(lz, lv)) {
+    return Status::InvalidArgument(
+        StrCat(name_, ": output layout ", lz.ToString(),
+               " inconsistent with X^T ", lx.Transposed().ToString(),
+               " and V ", lv.ToString()));
+  }
+
+  const int64_t gi = lx.grid_rows();
+  const int64_t gk = lx.grid_cols();
+  int64_t v_bytes = 0, z_bytes = 0;
+  for (int64_t k = 0; k < gk; ++k) {
+    v_bytes += TileBytes(lv, k, 0);
+    z_bytes += TileBytes(lz, k, 0);
+  }
+
+  BuiltJob built;
+  built.spec.name = name_;
+  for (int64_t i0 = 0, p = 0; i0 < gi; i0 += kPanelsPerTask, ++p) {
+    const int64_t i1 = std::min(i0 + kPanelsPerTask, gi);
+    const std::string out_name = MatMulJob::PartialName(out_.name, p);
+    Task task;
+    task.name = StrCat(name_, "/t", p);
+    std::vector<TileOutput> outputs;
+
+    // --- Declared cost: X's panels and V once, f's operands, both
+    // multiplies, and one partial of Z ---
+    int64_t x_bytes = 0, panel_bytes = 0;
+    for (int64_t i = i0; i < i1; ++i) {
+      int64_t this_panel = 0;
+      for (int64_t k = 0; k < gk; ++k) {
+        this_panel += TileBytes(lx, i, k);
+        task.cost.cpu_seconds_ref +=
+            ctx.cost->GemmSeconds(lu.TileRowsAt(i), lu.TileColsAt(0),
+                                  lx.TileColsAt(k)) +
+            ctx.cost->GemmSeconds(lz.TileRowsAt(k), lz.TileColsAt(0),
+                                  lx.TileRowsAt(i));
+      }
+      AddEwStepsCost(steps_, lu, i, 0, *ctx.cost, &task.cost);
+      x_bytes += this_panel;
+      panel_bytes = std::max(panel_bytes, this_panel);
+    }
+    task.cost.bytes_read += x_bytes + v_bytes;
+    if (ctx.task_pin_bytes > 0) {
+      // Out-of-core streaming term: each X tile is touched twice per
+      // panel (for U_i, then transposed for Z) and V once per panel.
+      const int64_t working_set =
+          panel_bytes + v_bytes + z_bytes + TileBytes(lu, i0, 0);
+      task.cost.bytes_read += static_cast<int64_t>(
+          StreamingRefetchBytes(x_bytes, 2.0, working_set,
+                                ctx.task_pin_bytes) +
+          StreamingRefetchBytes(v_bytes, static_cast<double>(i1 - i0),
+                                working_set, ctx.task_pin_bytes));
+    }
+    task.cost.bytes_written += z_bytes;
+    for (int64_t k = 0; k < gk; ++k) {
+      outputs.push_back(
+          TileOutput{out_name, TileId{k, 0}, TileBytes(lz, k, 0)});
+    }
+
+    if (ctx.query_locality && ctx.store != nullptr) {
+      MergePreferred(&task.preferred_machines,
+                     ctx.store->PreferredNodes(x_.name, TileId{i0, 0}));
+    }
+
+    if (ctx.attach_work) {
+      TileStore* store = ctx.store;
+      const std::string x_name = x_.name;
+      const std::string v_name = v_.name;
+      const std::vector<EwStep> steps = steps_;
+      const int64_t budget = ctx.prefetch_budget_bytes;
+      const KernelMode kmode = ctx.kernel_mode;
+      MemoryBudgetGroup* const mem = ctx.memory_budget;
+      const int64_t pin_bytes = ctx.task_pin_bytes;
+      task.work = [store, x_name, v_name, steps, lx, lv, lu, lz, out_name, i0,
+                   i1, gk, budget, kmode, mem,
+                   pin_bytes](int machine) -> Status {
+        MemoryBudget* const ledger =
+            mem != nullptr ? mem->node(machine) : nullptr;
+        // X and V tiles go through the memo: each X tile is read for U_i
+        // and again, transposed, for Z; V recurs for every panel.
+        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
+        for (int64_t i = i0; i < i1; ++i) {
+          for (int64_t k = 0; k < gk; ++k) {
+            reader.Hint(x_name, TileId{i, k}, TileBytes(lx, i, k));
+            reader.Hint(v_name, TileId{k, 0}, TileBytes(lv, k, 0));
+          }
+          HintEwStepOperands(steps, lu, TileId{i, 0}, &reader);
+        }
+        std::vector<Tile> z;
+        z.reserve(gk);
+        int64_t z_memory = 0;
+        for (int64_t k = 0; k < gk; ++k) {
+          z.emplace_back(lz.TileRowsAt(k), lz.TileColsAt(0));
+          z_memory += z.back().MemoryBytes();
+        }
+        const TaskTileReader::ScratchReservation z_scratch =
+            reader.PinScratch(z_memory);
+        for (int64_t i = i0; i < i1; ++i) {
+          Tile u(lu.TileRowsAt(i), lu.TileColsAt(0));
+          const TaskTileReader::ScratchReservation u_scratch =
+              reader.PinScratch(u.MemoryBytes());
+          for (int64_t k = 0; k < gk; ++k) {
+            CUMULON_ASSIGN_OR_RETURN(
+                std::shared_ptr<const Tile> tx,
+                reader.ReadMemoized(x_name, TileId{i, k}));
+            CUMULON_ASSIGN_OR_RETURN(
+                std::shared_ptr<const Tile> tv,
+                reader.ReadMemoized(v_name, TileId{k, 0}));
+            CUMULON_RETURN_IF_ERROR(
+                GemmWithMode(kmode, *tx, *tv, 1.0, 1.0, &u));
+          }
+          CUMULON_RETURN_IF_ERROR(
+              RunEwSteps(steps, &reader, TileId{i, 0}, &u, kmode));
+          for (int64_t k = 0; k < gk; ++k) {
+            CUMULON_ASSIGN_OR_RETURN(
+                std::shared_ptr<const Tile> tx,
+                reader.ReadMemoized(x_name, TileId{i, k}));
+            CUMULON_RETURN_IF_ERROR(GemmWithMode(kmode, *tx, u, 1.0, 1.0,
+                                                 &z[k],
+                                                 Orientation::kTransposed));
+          }
+        }
+        for (int64_t k = 0; k < gk; ++k) {
+          CUMULON_RETURN_IF_ERROR(
+              store->Put(out_name, TileId{k, 0},
+                         std::make_shared<Tile>(std::move(z[k])), machine));
+        }
+        return Status::OK();
+      };
+    }
+
+    built.spec.tasks.push_back(std::move(task));
+    built.task_outputs.push_back(std::move(outputs));
+  }
+  return built;
+}
+
+// ---------------------------------------------------------------------------
 // SumJob
 // ---------------------------------------------------------------------------
 

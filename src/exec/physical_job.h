@@ -192,8 +192,47 @@ class MatMulJob : public PhysicalJob {
   std::vector<EwStep> epilogue_;
 };
 
+/// Z = X^T * f(X * V) from one read of X. Each task reads kPanelsPerTask
+/// consecutive row panels X_i once, through its reader's memo; for each
+/// panel it computes U_i = f(X_i * V), with f the element-wise `steps`
+/// applied to each U tile, then accumulates X_i^T * U_i into one partial
+/// of Z, reading X_i's tiles transposed in place. V spans one tile column,
+/// so U_i is a single tile. Task p writes PartialName(out, p); the SumJob
+/// that AddRowPanel (physical_plan.h) wires after it merges the partials
+/// and carries the outer epilogue, as for a split-k multiply.
+class RowPanelJob : public PhysicalJob {
+ public:
+  /// Row panels per task. Every task holds and writes one full partial of
+  /// Z, so this sets how many partials (and how much partial memory) the
+  /// chain costs against how many tasks share the read of X.
+  static constexpr int64_t kPanelsPerTask = 2;
+
+  /// Output tiles per task of the merging SumJob: the partials are few and
+  /// whole, so one tile per task spreads the merge over every slot.
+  static constexpr int64_t kMergeTilesPerTask = 1;
+
+  RowPanelJob(std::string name, TiledMatrix x, TiledMatrix v, TiledMatrix out,
+              std::vector<EwStep> steps);
+
+  const std::string& name() const override { return name_; }
+  Result<BuiltJob> Build(const BuildContext& ctx) const override;
+  std::vector<std::string> InputMatrices() const override;
+  std::vector<std::string> OutputMatrices() const override;
+  std::string DebugString() const override;
+
+  /// Number of partials (= tasks): X's row panels in groups of
+  /// kPanelsPerTask.
+  int64_t NumPartials() const;
+
+ private:
+  std::string name_;
+  TiledMatrix x_, v_, out_;
+  std::vector<EwStep> steps_;
+};
+
 /// out = sum(parts) with an optional fused epilogue; merges the partial
-/// products of a split-k multiply. All parts share out's layout.
+/// products of a split-k multiply or a RowPanelJob. All parts share out's
+/// layout.
 class SumJob : public PhysicalJob {
  public:
   SumJob(std::string name, std::vector<std::string> parts, TiledMatrix out,

@@ -35,6 +35,25 @@ Status AddMatMul(const MatMulOperand& a, const MatMulOperand& b,
   return Status::OK();
 }
 
+Status AddRowPanel(const TiledMatrix& x, const TiledMatrix& v,
+                   std::vector<EwStep> steps, const TiledMatrix& out,
+                   std::vector<EwStep> epilogue, PhysicalPlan* plan) {
+  auto rp = std::make_unique<RowPanelJob>(StrCat("rp_", out.name), x, v, out,
+                                          std::move(steps));
+  const int64_t np = rp->NumPartials();
+  plan->jobs.push_back(std::move(rp));
+  std::vector<std::string> parts;
+  parts.reserve(np);
+  for (int64_t p = 0; p < np; ++p) {
+    parts.push_back(MatMulJob::PartialName(out.name, p));
+    plan->temporaries.push_back(parts.back());
+  }
+  plan->jobs.push_back(std::make_unique<SumJob>(
+      StrCat("sum_", out.name), std::move(parts), out, std::move(epilogue),
+      RowPanelJob::kMergeTilesPerTask));
+  return Status::OK();
+}
+
 Status AddEwChain(const TiledMatrix& in, const TiledMatrix& out,
                   std::vector<EwStep> steps, PhysicalPlan* plan,
                   int64_t tiles_per_task) {

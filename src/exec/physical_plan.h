@@ -44,6 +44,14 @@ Status AddMatMul(const MatMulOperand& a, const MatMulOperand& b,
                  const TiledMatrix& out, const MatMulParams& params,
                  std::vector<EwStep> epilogue, PhysicalPlan* plan);
 
+/// Appends the jobs computing out = epilogue(X^T * steps(X * V)) from one
+/// read of X: a RowPanelJob writing one partial of out per task, and a
+/// SumJob merging them with `epilogue` (the partials are registered as
+/// temporaries). V must span one tile column.
+Status AddRowPanel(const TiledMatrix& x, const TiledMatrix& v,
+                   std::vector<EwStep> steps, const TiledMatrix& out,
+                   std::vector<EwStep> epilogue, PhysicalPlan* plan);
+
 /// Appends an element-wise chain job out = steps(in).
 Status AddEwChain(const TiledMatrix& in, const TiledMatrix& out,
                   std::vector<EwStep> steps, PhysicalPlan* plan,

@@ -1,5 +1,6 @@
 #include "lang/lowering.h"
 
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -18,6 +19,60 @@ struct RawStep {
   EwStep step;          // other_matrix filled in later for binary steps
   ExprPtr other;        // binary operand expression (null for unary)
 };
+
+/// An element-wise chain peeled off an expression: `raw` in application
+/// order (raw[0] is applied first, closest to the base) and `base`, the
+/// first node under the chain that is not element-wise.
+struct Spine {
+  std::vector<RawStep> raw;
+  ExprPtr base;
+};
+
+/// Peels the chain of element-wise ops along `root`'s spine.
+Spine PeelSpine(const ExprPtr& root) {
+  Spine spine;
+  ExprPtr node = root;
+  while (true) {
+    if (node->kind() == ExprKind::kEwUnary) {
+      RawStep rs;
+      rs.step = EwStep::Unary(node->uop(), node->scalar());
+      spine.raw.insert(spine.raw.begin(), rs);
+      node = node->left();
+    } else if (node->kind() == ExprKind::kEwBinary) {
+      // The spine must be a full-shaped side; when both sides are full,
+      // continue into the one holding a multiply (enables fusion).
+      auto is_full = [&](const ExprPtr& e) {
+        return e->rows() == node->rows() && e->cols() == node->cols();
+      };
+      const bool left_full = is_full(node->left());
+      const bool right_full = is_full(node->right());
+      const bool spine_left =
+          left_full && right_full
+              ? (node->left()->ContainsMatMul() ||
+                 !node->right()->ContainsMatMul())
+              : left_full;
+      RawStep rs;
+      rs.other = spine_left ? node->right() : node->left();
+      EwStep::Operand operand = EwStep::Operand::kFull;
+      if (!is_full(rs.other)) {
+        operand = rs.other->rows() == 1 ? EwStep::Operand::kRowVector
+                                        : EwStep::Operand::kColVector;
+      }
+      rs.step = EwStep::Binary(node->bop(), /*other=*/"",
+                               /*swapped=*/!spine_left, operand);
+      spine.raw.insert(spine.raw.begin(), rs);
+      node = spine_left ? node->left() : node->right();
+    } else {
+      break;
+    }
+  }
+  spine.base = std::move(node);
+  return spine;
+}
+
+/// A lowered binary-step operand paired with its broadcast kind, for
+/// CheckOperandLayouts.
+using StepOperand = std::pair<TiledMatrix, EwStep::Operand>;
 
 class Lowerer {
  public:
@@ -221,10 +276,18 @@ class Lowerer {
     return MatMulOperand(std::move(stored));
   }
 
+  /// A matrix a lowering may or may not have produced.
+  using MaybeMatrix = std::optional<TiledMatrix>;
+
   /// Lowers a multiply with an already-collected epilogue into `out_name`.
   Result<TiledMatrix> LowerMultiply(const ExprPtr& mm,
                                     std::vector<EwStep> epilogue,
                                     const std::string& out_name) {
+    if (options_.enable_fusion) {
+      CUMULON_ASSIGN_OR_RETURN(MaybeMatrix chained,
+                               LowerRowPanelChain(mm, &epilogue, out_name));
+      if (chained.has_value()) return *std::move(chained);
+    }
     CUMULON_ASSIGN_OR_RETURN(MatMulOperand a,
                              LowerMultiplyOperand(mm->left()));
     CUMULON_ASSIGN_OR_RETURN(MatMulOperand b,
@@ -244,73 +307,92 @@ class Lowerer {
     return out;
   }
 
+  /// Lowers `mm` = T(X) * f(X * V), with f an element-wise spine, as one
+  /// read of X: a RowPanelJob plus the SumJob that merges its partials and
+  /// carries `epilogue`. Applies only when both X's are the same matrix,
+  /// V is not a transpose and spans one tile column, and neither X * V nor
+  /// f(X * V) is in the CSE table; the chain adds neither to it. Returns
+  /// nullopt otherwise. V's width is known only once V is lowered, so a
+  /// chain that fails on it leaves X and V lowered; with CSE on, the
+  /// two-multiply path then finds them in the table.
+  Result<MaybeMatrix> LowerRowPanelChain(
+      const ExprPtr& mm, std::vector<EwStep>* epilogue,
+      const std::string& out_name) {
+    if (mm->left()->kind() != ExprKind::kTranspose) return MaybeMatrix();
+    const Spine f = PeelSpine(mm->right());
+    if (f.base->kind() != ExprKind::kMatMul ||
+        f.base->right()->kind() == ExprKind::kTranspose) {
+      return MaybeMatrix();
+    }
+    CUMULON_ASSIGN_OR_RETURN(std::string x_key, ExprKey(mm->left()->left()));
+    CUMULON_ASSIGN_OR_RETURN(std::string inner_x_key,
+                             ExprKey(f.base->left()));
+    CUMULON_ASSIGN_OR_RETURN(std::string xv_key, ExprKey(f.base));
+    CUMULON_ASSIGN_OR_RETURN(std::string fxv_key, ExprKey(mm->right()));
+    if (x_key != inner_x_key || cse_.count(xv_key) > 0 ||
+        cse_.count(fxv_key) > 0) {
+      return MaybeMatrix();
+    }
+    CUMULON_ASSIGN_OR_RETURN(TiledMatrix x, LowerValue(f.base->left()));
+    CUMULON_ASSIGN_OR_RETURN(TiledMatrix v, LowerValue(f.base->right()));
+    if (v.layout.grid_cols() != 1) return MaybeMatrix();
+    if (!InnerAligned(x.layout, v.layout)) {
+      return Status::InvalidArgument(
+          StrCat("tile grids misaligned for multiply: ", x.layout.ToString(),
+                 " * ", v.layout.ToString()));
+    }
+    std::vector<StepOperand> operands;
+    CUMULON_ASSIGN_OR_RETURN(std::vector<EwStep> steps,
+                             LowerSpineSteps(f.raw, &operands));
+    CUMULON_RETURN_IF_ERROR(CheckOperandLayouts(
+        operands, TileLayout(x.layout.rows(), v.layout.cols(),
+                             x.layout.tile_rows(), v.layout.tile_cols())));
+    TiledMatrix out{out_name,
+                    TileLayout(x.layout.cols(), v.layout.cols(),
+                               x.layout.tile_cols(), v.layout.tile_cols())};
+    CUMULON_RETURN_IF_ERROR(AddRowPanel(x, v, std::move(steps), out,
+                                        std::move(*epilogue), &plan_));
+    return MaybeMatrix(std::move(out));
+  }
+
+  /// Lowers the binary operands of peeled steps and finalizes them as
+  /// exec EwSteps, appending each operand to `operands`.
+  Result<std::vector<EwStep>> LowerSpineSteps(
+      const std::vector<RawStep>& raw, std::vector<StepOperand>* operands) {
+    std::vector<EwStep> steps;
+    steps.reserve(raw.size());
+    for (const RawStep& rs : raw) {
+      steps.push_back(rs.step);
+      if (rs.other != nullptr) {
+        CUMULON_ASSIGN_OR_RETURN(TiledMatrix other, LowerValue(rs.other));
+        steps.back().other_matrix = other.name;
+        operands->emplace_back(std::move(other), rs.step.operand);
+      }
+    }
+    return steps;
+  }
+
   /// Lowers an expression whose root is element-wise: peels the chain of
   /// ew ops along its spine, fuses it into the producing multiply when
   /// possible, otherwise emits an EwChainJob.
   Result<TiledMatrix> LowerEwSpine(const ExprPtr& root,
                                    const std::string& out_name) {
-    // Peel from the root down: raw[0] is applied first (closest to base).
-    std::vector<RawStep> raw;
-    ExprPtr node = root;
-    while (true) {
-      if (node->kind() == ExprKind::kEwUnary) {
-        RawStep rs;
-        rs.step = EwStep::Unary(node->uop(), node->scalar());
-        raw.insert(raw.begin(), rs);
-        node = node->left();
-      } else if (node->kind() == ExprKind::kEwBinary) {
-        // The spine must be a full-shaped side; when both sides are full,
-        // continue into the one holding a multiply (enables fusion).
-        auto is_full = [&](const ExprPtr& e) {
-          return e->rows() == node->rows() && e->cols() == node->cols();
-        };
-        const bool left_full = is_full(node->left());
-        const bool right_full = is_full(node->right());
-        const bool spine_left =
-            left_full && right_full
-                ? (node->left()->ContainsMatMul() ||
-                   !node->right()->ContainsMatMul())
-                : left_full;
-        RawStep rs;
-        rs.other = spine_left ? node->right() : node->left();
-        EwStep::Operand operand = EwStep::Operand::kFull;
-        if (!is_full(rs.other)) {
-          operand = rs.other->rows() == 1 ? EwStep::Operand::kRowVector
-                                          : EwStep::Operand::kColVector;
-        }
-        rs.step = EwStep::Binary(node->bop(), /*other=*/"",
-                                 /*swapped=*/!spine_left, operand);
-        raw.insert(raw.begin(), rs);
-        node = spine_left ? node->left() : node->right();
-      } else {
-        break;
-      }
-    }
-
-    // Lower the binary operands and finalize the steps.
-    std::vector<EwStep> steps;
-    steps.reserve(raw.size());
-    // Operands paired with their broadcast kind, for layout checks below.
-    std::vector<std::pair<TiledMatrix, EwStep::Operand>> operands;
-    for (RawStep& rs : raw) {
-      if (rs.other != nullptr) {
-        CUMULON_ASSIGN_OR_RETURN(TiledMatrix other, LowerValue(rs.other));
-        rs.step.other_matrix = other.name;
-        operands.emplace_back(std::move(other), rs.step.operand);
-      }
-      steps.push_back(rs.step);
-    }
+    const Spine spine = PeelSpine(root);
+    std::vector<StepOperand> operands;
+    CUMULON_ASSIGN_OR_RETURN(std::vector<EwStep> steps,
+                             LowerSpineSteps(spine.raw, &operands));
 
     // Fusion: the spine base is a multiply -> epilogue of that job.
-    if (options_.enable_fusion && node->kind() == ExprKind::kMatMul) {
+    if (options_.enable_fusion && spine.base->kind() == ExprKind::kMatMul) {
       CUMULON_ASSIGN_OR_RETURN(
-          TiledMatrix out, LowerMultiply(node, std::move(steps), out_name));
+          TiledMatrix out,
+          LowerMultiply(spine.base, std::move(steps), out_name));
       CUMULON_RETURN_IF_ERROR(CheckOperandLayouts(operands, out.layout));
       return out;
     }
 
     // Unfused: materialize the base, then one element-wise pass.
-    CUMULON_ASSIGN_OR_RETURN(TiledMatrix base, LowerValue(node));
+    CUMULON_ASSIGN_OR_RETURN(TiledMatrix base, LowerValue(spine.base));
     TiledMatrix out{out_name, base.layout};
     CUMULON_RETURN_IF_ERROR(CheckOperandLayouts(operands, out.layout));
     CUMULON_RETURN_IF_ERROR(AddEwChain(base, out, std::move(steps), &plan_,
@@ -318,9 +400,8 @@ class Lowerer {
     return out;
   }
 
-  Status CheckOperandLayouts(
-      const std::vector<std::pair<TiledMatrix, EwStep::Operand>>& operands,
-      const TileLayout& out_layout) {
+  Status CheckOperandLayouts(const std::vector<StepOperand>& operands,
+                             const TileLayout& out_layout) {
     for (const auto& [m, operand] : operands) {
       TileLayout expected = out_layout;
       switch (operand) {

@@ -428,6 +428,55 @@ TEST(ExecIoTest, BlockedMatMulReadsExactlyWhatItDeclares) {
   }
 }
 
+TEST(ExecIoTest, RowPanelReadsExactlyWhatItDeclares) {
+  // X is 40 x 16 in 8 x 8 tiles: 5 row panels, so three tasks, the last
+  // with one panel. Each task must read its panels of X once although it
+  // multiplies every X tile twice, V once although every panel uses it,
+  // and the y tile each panel's step subtracts. One slot per machine keeps
+  // the tasks on separate nodes, where the store cannot coalesce two
+  // tasks' concurrent prefetches of V into one read.
+  for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
+    SCOPED_TRACE(StrCat("prefetch window ", prefetch_bytes));
+    SimDfs dfs(DfsOptions{});
+    DfsTileStore store(&dfs);
+    store.EnablePrefetch(2);
+    TiledMatrix x{"X", TileLayout::Square(40, 16, 8)};
+    TiledMatrix v{"V", TileLayout::Square(16, 1, 8)};
+    TiledMatrix y{"y", TileLayout::Square(40, 1, 8)};
+    TiledMatrix z{"Z", TileLayout::Square(16, 1, 8)};
+    Rng rng(7);
+    ASSERT_TRUE(StoreDense(DenseMatrix::Gaussian(40, 16, &rng), x, &store)
+                    .ok());
+    ASSERT_TRUE(StoreDense(DenseMatrix::Gaussian(16, 1, &rng), v, &store)
+                    .ok());
+    ASSERT_TRUE(StoreDense(DenseMatrix::Gaussian(40, 1, &rng), y, &store)
+                    .ok());
+    MetricsRegistry metrics;
+    store.AttachMetrics(&metrics);  // after the input writes: reads only
+
+    RealEngine engine(ClusterConfig{MachineProfile{}, 4, 1},
+                      RealEngineOptions{});
+    TileOpCostModel cost;
+    ExecutorOptions options;
+    options.prefetch_budget_bytes = prefetch_bytes;
+    Executor executor(&store, &engine, &cost, options);
+    PhysicalPlan plan;
+    plan.jobs.push_back(std::make_unique<RowPanelJob>(
+        "rp", x, v, z,
+        std::vector<EwStep>{EwStep::Binary(BinaryOp::kSub, "y")}));
+    auto stats = executor.Run(plan);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+
+    const MetricsSnapshot snapshot = metrics.Snapshot();
+    EXPECT_EQ(stats->total_tasks, 3);
+    // 10 X tiles, V's 2 tiles once per task, 5 y tiles.
+    EXPECT_EQ(snapshot.CounterOr("dfs.read.ops", -1), 10 + 3 * 2 + 5);
+    EXPECT_EQ(stats->bytes_read,
+              10 * (16 + 8 * 8 * 8) + (3 * 2 + 5) * (16 + 8 * 8));
+    EXPECT_EQ(snapshot.CounterOr("dfs.read.bytes", -1), stats->bytes_read);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // EwStep unit behavior
 // ---------------------------------------------------------------------------
