@@ -13,8 +13,10 @@
 // reporting single-core GFLOP/s and the SIMD speedup, plus Gemm(A^T * B)
 // at 512^3 in both modes: a transposed operand is packed straight from its
 // stored tile, and this row is what that costs against the plain multiply.
-// CI uploads the JSON as the BENCH_kernels.json artifact to track kernel
-// regressions.
+// It also reports the tile checksum (Checksum64) in GB/s at 512 KiB and
+// 64 KiB, the sizes of the benchmark workloads' tiles, since every DFS
+// write and verified read hashes a whole tile. CI uploads the JSON as the
+// BENCH_kernels.json artifact to track kernel regressions.
 
 #include <algorithm>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
 #include "matrix/kernel_config.h"
+#include "matrix/tile_io.h"
 
 namespace cumulon::bench {
 namespace {
@@ -121,6 +124,20 @@ double MeasureGemmGflops(KernelMode mode, int64_t n,
   return flops * reps / sw.ElapsedSeconds() / 1e9;
 }
 
+/// Single-core GB/s of Checksum64 over a `bytes`-long buffer, repeated
+/// until ~2 GB have been hashed.
+double MeasureChecksumGbps(size_t bytes) {
+  std::vector<uint8_t> buffer(bytes);
+  for (size_t i = 0; i < bytes; ++i) buffer[i] = static_cast<uint8_t>(i * 131);
+  const uint64_t expected = Checksum64(buffer.data(), bytes);  // fault pages
+  const int reps = std::max<int>(1, static_cast<int>(2e9 / bytes));
+  Stopwatch sw;
+  for (int r = 0; r < reps; ++r) {
+    CUMULON_CHECK(Checksum64(buffer.data(), bytes) == expected);
+  }
+  return static_cast<double>(bytes) * reps / sw.ElapsedSeconds() / 1e9;
+}
+
 struct KernelRow {
   int64_t n;
   double scalar_gflops;
@@ -158,6 +175,13 @@ void RunKernelsOnly(const std::string& json_path) {
   std::printf("A^T B vs plain at 512: scalar %.2fx, simd %.2fx\n",
               at.scalar_gflops / plain.scalar_gflops,
               at.simd_gflops / plain.simd_gflops);
+  const size_t checksum_kib[] = {512, 64};
+  double checksum_gbps[2];
+  for (int i = 0; i < 2; ++i) {
+    checksum_gbps[i] = MeasureChecksumGbps(checksum_kib[i] * 1024);
+    std::printf("tile checksum at %zu KiB: %.2f GB/s\n", checksum_kib[i],
+                checksum_gbps[i]);
+  }
   if (json_path.empty()) return;
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   CUMULON_CHECK(f != nullptr) << "cannot write " << json_path;
@@ -175,10 +199,15 @@ void RunKernelsOnly(const std::string& json_path) {
   std::fprintf(f,
                "],\"gemm_at_b\":{\"n\":%lld,\"scalar_gflops\":%.3f,"
                "\"simd_gflops\":%.3f,\"scalar_vs_plain\":%.3f,"
-               "\"simd_vs_plain\":%.3f}}\n",
+               "\"simd_vs_plain\":%.3f},",
                static_cast<long long>(at.n), at.scalar_gflops,
                at.simd_gflops, at.scalar_gflops / plain.scalar_gflops,
                at.simd_gflops / plain.simd_gflops);
+  std::fprintf(f,
+               "\"tile_checksum\":[{\"kib\":%zu,\"gbps\":%.3f},"
+               "{\"kib\":%zu,\"gbps\":%.3f}]}\n",
+               checksum_kib[0], checksum_gbps[0], checksum_kib[1],
+               checksum_gbps[1]);
   std::fclose(f);
   std::printf("kernel summary -> %s\n", json_path.c_str());
 }

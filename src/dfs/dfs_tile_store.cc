@@ -11,8 +11,7 @@ namespace cumulon {
 
 namespace {
 uint64_t TileChecksum(const Tile& tile) {
-  return Fnv1a(reinterpret_cast<const uint8_t*>(tile.data()),
-               tile.size() * sizeof(double));
+  return Checksum64(tile.data(), tile.size() * sizeof(double));
 }
 }  // namespace
 
@@ -185,8 +184,11 @@ Status DfsTileStore::Put(const std::string& matrix, TileId id,
   const int64_t bytes = tile->SizeBytes();
   const std::string path = TilePath(matrix, id);
   if (verify_checksums_) {
+    // Hash before locking: concurrent Gets take checksum_mu_ to look up
+    // their expected value.
+    const uint64_t checksum = TileChecksum(*tile);
     MutexLock lock(&checksum_mu_);
-    checksums_[path] = TileChecksum(*tile);
+    checksums_[path] = checksum;
   }
   if (caches_ != nullptr) {
     // Every node's cached copy is stale once the overwrite lands; the

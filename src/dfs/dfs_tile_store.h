@@ -23,9 +23,11 @@ namespace cumulon {
 /// SimDfs so both the bytes-moved accounting and the actual data share one
 /// code path. Path scheme: /matrix/<name>/t_<row>_<col>.
 ///
-/// With `verify_checksums` the store records an FNV-1a checksum of each
-/// tile at write time and re-verifies it on every read (HDFS's block
-/// checksumming), turning silent corruption into a loud Internal error.
+/// With `verify_checksums` the store records a Checksum64 (XXH64) of each
+/// tile's payload at write time and re-verifies it on every read that
+/// misses the node cache (HDFS's block checksumming), turning silent
+/// corruption into a loud Internal error. A corrupted tile passes with
+/// probability about 2^-64; Checksum64 states the exact guarantee.
 ///
 /// With a TileCacheGroup attached (AttachCaches), Get consults the reading
 /// node's local cache first: hits skip the DFS entirely — no bytes-moved

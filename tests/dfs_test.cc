@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -291,6 +292,33 @@ TEST(DfsTileStoreTest, ChecksumVerificationCatchesCorruption) {
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kInternal);
   EXPECT_NE(got.status().message().find("checksum"), std::string::npos);
+}
+
+TEST(DfsTileStoreTest, ChecksumCatchesEveryPayloadBitFlip) {
+  SimDfs dfs(SmallDfs());
+  DfsTileStore store(&dfs, /*verify_checksums=*/true);
+  auto tile = std::make_shared<Tile>(8, 8);
+  for (int64_t i = 0; i < tile->size(); ++i) {
+    tile->mutable_data()[i] = 0.5 * static_cast<double>(i) - 7.25;
+  }
+  ASSERT_TRUE(store.Put("m", TileId{0, 0}, tile, 0).ok());
+  const std::string path = DfsTileStore::TilePath("m", TileId{0, 0});
+  const size_t payload_bits = tile->size() * sizeof(double) * 8;
+  ASSERT_EQ(payload_bits, 4096u);
+  int undetected = 0;
+  for (size_t bit = 0; bit < payload_bits; ++bit) {
+    // Overwrite the block behind the store's back with a one-bit-flipped
+    // copy; the recorded checksum still describes the clean tile.
+    auto corrupted = std::make_shared<Tile>(*tile);
+    auto* bytes = reinterpret_cast<uint8_t*>(corrupted->mutable_data());
+    bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    ASSERT_TRUE(dfs.Write(path, corrupted->SizeBytes(), 0, corrupted).ok());
+    auto got = store.Get("m", TileId{0, 0}, 0);
+    if (got.ok() || got.status().code() != StatusCode::kInternal) {
+      ++undetected;
+    }
+  }
+  EXPECT_EQ(undetected, 0);
 }
 
 TEST(DfsTileStoreTest, ChecksumOverwriteRefreshes) {
