@@ -50,8 +50,7 @@ void DfsTileStore::EnablePrefetch(int num_threads) {
 }
 
 std::shared_ptr<const Tile> DfsTileStore::CacheLookup(const std::string& path,
-                                                      int reader_node,
-                                                      bool count_miss) {
+                                                      int reader_node) {
   TileCache* cache = caches_ != nullptr ? caches_->node(reader_node) : nullptr;
   if (cache == nullptr) return nullptr;
   if (std::shared_ptr<const Tile> cached = cache->Get(path)) {
@@ -61,7 +60,7 @@ std::shared_ptr<const Tile> DfsTileStore::CacheLookup(const std::string& path,
     }
     return cached;
   }
-  if (count_miss && counters_.cache_misses != nullptr) {
+  if (counters_.cache_misses != nullptr) {
     counters_.cache_misses->Increment();
   }
   return nullptr;
@@ -126,7 +125,8 @@ std::shared_ptr<TileFetchState> DfsTileStore::StartFetch(
       }
     }
     const double t0 = prefetch_clock_.ElapsedSeconds();
-    state->Resolve(Get(matrix, id, reader_node));
+    // The request already made its one cache lookup (GetAsync/Prefetch).
+    state->Resolve(ReadThrough(matrix, id, key.first, reader_node));
     if (Tracer* tracer = GlobalTracer()) {
       TraceSpan span;
       span.name = StrCat("prefetch ", key.first);
@@ -152,8 +152,7 @@ TileFuture DfsTileStore::GetAsync(const std::string& matrix, TileId id,
   }
   // Cache fast path: resolved futures for resident tiles, no pool hop.
   if (std::shared_ptr<const Tile> cached =
-          CacheLookup(TilePath(matrix, id), reader_node,
-                      /*count_miss=*/false)) {
+          CacheLookup(TilePath(matrix, id), reader_node)) {
     if (counters_.prefetch_hits != nullptr) {
       counters_.prefetch_hits->Increment();
     }
@@ -169,8 +168,7 @@ TileFuture DfsTileStore::GetAsync(const std::string& matrix, TileId id,
 void DfsTileStore::Prefetch(const std::string& matrix, TileId id,
                             int reader_node) {
   if (prefetch_pool_ == nullptr) return;
-  if (CacheLookup(TilePath(matrix, id), reader_node, /*count_miss=*/false) !=
-      nullptr) {
+  if (CacheLookup(TilePath(matrix, id), reader_node) != nullptr) {
     if (counters_.prefetch_hits != nullptr) {
       counters_.prefetch_hits->Increment();
     }
@@ -192,7 +190,8 @@ Status DfsTileStore::Put(const std::string& matrix, TileId id,
   }
   if (caches_ != nullptr) {
     // Every node's cached copy is stale once the overwrite lands; the
-    // writer keeps the fresh tile (its next reader is likely local).
+    // writer offers the fresh tile to its own cache (its next reader is
+    // likely local), which admits it into free space or if its key is hot.
     caches_->InvalidateAll(path);
     if (TileCache* cache = caches_->node(writer_node)) cache->Put(path, tile);
   }
@@ -206,10 +205,15 @@ Status DfsTileStore::Put(const std::string& matrix, TileId id,
 Result<std::shared_ptr<const Tile>> DfsTileStore::Get(
     const std::string& matrix, TileId id, int reader_node) {
   const std::string path = TilePath(matrix, id);
-  if (std::shared_ptr<const Tile> cached =
-          CacheLookup(path, reader_node, /*count_miss=*/true)) {
+  if (std::shared_ptr<const Tile> cached = CacheLookup(path, reader_node)) {
     return cached;  // verified at miss time; no DFS traffic
   }
+  return ReadThrough(matrix, id, path, reader_node);
+}
+
+Result<std::shared_ptr<const Tile>> DfsTileStore::ReadThrough(
+    const std::string& matrix, TileId id, const std::string& path,
+    int reader_node) {
   CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const void> payload,
                            dfs_->Read(path, reader_node));
   if (payload == nullptr) {

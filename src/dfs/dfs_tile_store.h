@@ -33,9 +33,12 @@ namespace cumulon {
 /// node's local cache first: hits skip the DFS entirely — no bytes-moved
 /// accounting, no checksum pass — which is where map-only matrix jobs that
 /// read the same input tile from many splits get their IO back. Misses are
-/// verified as usual and then inserted into the reader's cache; Put and
-/// DeleteMatrix invalidate every node's cached copy before the DFS write
-/// so a cache can never serve stale data.
+/// verified as usual and then offered to the reader's cache, whose
+/// admission rule may decline them (TileCache); Put and DeleteMatrix
+/// invalidate every node's cached copy before the DFS write so a cache can
+/// never serve stale data. Each request (Get, GetAsync, Prefetch) makes
+/// exactly one cache lookup, so the cache's counts and the store's cache.*
+/// counters agree and a prefetched request is not counted twice.
 class DfsTileStore : public TileStore {
  public:
   /// Does not take ownership of `dfs`, which must outlive this store.
@@ -101,12 +104,19 @@ class DfsTileStore : public TileStore {
     Histogram* prefetch_stall_seconds = nullptr;
   };
 
-  /// Reading node's cached copy of `path`, or null. Bumps cache.hits on a
-  /// hit; misses are counted only when `count_miss` (the async fast path
-  /// leaves the miss to the pool worker's Get so each lookup miss is
-  /// counted once).
+  /// Reading node's cached copy of `path`, or null. Each tile request
+  /// makes exactly one such lookup: it counts the request in the node
+  /// cache's admission counts and bumps cache.hits or cache.misses.
   std::shared_ptr<const Tile> CacheLookup(const std::string& path,
-                                          int reader_node, bool count_miss);
+                                          int reader_node);
+
+  /// The miss path behind CacheLookup: reads `path` from the DFS, verifies
+  /// its checksum, and offers the tile to the reader's cache. Makes no
+  /// cache lookup of its own.
+  Result<std::shared_ptr<const Tile>> ReadThrough(const std::string& matrix,
+                                                  TileId id,
+                                                  const std::string& path,
+                                                  int reader_node);
 
   /// Returns the (possibly coalesced) in-flight fetch state for
   /// (matrix tile, reader node), submitting a pool worker for new fetches.

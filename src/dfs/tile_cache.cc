@@ -1,49 +1,71 @@
 #include "dfs/tile_cache.h"
 
 #include <algorithm>
-#include <functional>
+#include <iterator>
 
 namespace cumulon {
 
-TileCache::TileCache(int64_t capacity_bytes, int num_shards)
-    : capacity_bytes_(std::max<int64_t>(capacity_bytes, 0)) {
-  num_shards = std::max(num_shards, 1);
-  shard_capacity_bytes_ = capacity_bytes_ / num_shards;
-  shards_.reserve(num_shards);
-  for (int s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
+TileCache::TileCache(int64_t capacity_bytes)
+    : capacity_bytes_(std::max<int64_t>(capacity_bytes, 0)) {}
+
+void TileCache::CountRequestLocked(const std::string& key) {
+  ++counts_[key];
+  const int64_t period =
+      kAgingRequestsPerTile * static_cast<int64_t>(lru_.size()) +
+      kAgingBaseRequests;
+  if (++requests_since_aging_ < period) return;
+  requests_since_aging_ = 0;
+  for (auto it = counts_.begin(); it != counts_.end();) {
+    it->second /= 2;
+    it = it->second == 0 ? counts_.erase(it) : std::next(it);
   }
 }
 
-TileCache::Shard& TileCache::ShardFor(const std::string& key) {
-  const size_t h = std::hash<std::string>{}(key);
-  return *shards_[h % shards_.size()];
+int64_t TileCache::CountLocked(const std::string& key) const {
+  auto it = counts_.find(key);
+  return it == counts_.end() ? 0 : it->second;
 }
 
 std::shared_ptr<const Tile> TileCache::Get(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(&shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  MutexLock lock(&mu_);
+  CountRequestLocked(key);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++stats_.misses;
     return nullptr;
   }
   // Promote to most-recently-used.
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
-  shard.hit_bytes += it->second->size_bytes;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++stats_.hits;
+  stats_.hit_bytes += it->second->size_bytes;
   return it->second->tile;
 }
 
-void TileCache::EvictLockedUntilFits(Shard* shard, int64_t incoming_bytes) {
-  while (!shard->lru.empty() &&
-         shard->bytes + incoming_bytes > shard_capacity_bytes_) {
-    const Entry& victim = shard->lru.back();
-    shard->bytes -= victim.memory_bytes;
-    shard->index.erase(victim.key);
-    shard->lru.pop_back();
-    ++shard->evictions;
+bool TileCache::MakeRoomLocked(const std::string& key,
+                               int64_t incoming_bytes) {
+  // Walk the would-be victims from the LRU end before evicting any: the
+  // incoming tile either beats all of them or displaces none.
+  const int64_t candidate = CountLocked(key);
+  int64_t freed = 0;
+  size_t victims = 0;
+  for (auto it = lru_.rbegin();
+       it != lru_.rend() && bytes_ - freed + incoming_bytes > capacity_bytes_;
+       ++it) {
+    if (CountLocked(it->key) >= candidate) return false;
+    freed += it->memory_bytes;
+    ++victims;
   }
+  for (; victims > 0; --victims) {
+    EraseLocked(std::prev(lru_.end()));
+    ++stats_.evictions;
+  }
+  return true;
+}
+
+void TileCache::EraseLocked(std::list<Entry>::iterator it) {
+  bytes_ -= it->memory_bytes;
+  index_.erase(it->key);
+  lru_.erase(it);
 }
 
 void TileCache::Put(const std::string& key, std::shared_ptr<const Tile> tile) {
@@ -52,88 +74,71 @@ void TileCache::Put(const std::string& key, std::shared_ptr<const Tile> tile) {
   // padded allocation — not its smaller serialized form.
   const int64_t memory_bytes = tile->MemoryBytes();
   const int64_t size_bytes = tile->SizeBytes();
-  if (memory_bytes > shard_capacity_bytes_) return;  // would evict the shard
-  Shard& shard = ShardFor(key);
-  MutexLock lock(&shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.bytes -= it->second->memory_bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+  if (memory_bytes > capacity_bytes_) return;
+  MutexLock lock(&mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) EraseLocked(it->second);
+  if (!MakeRoomLocked(key, memory_bytes)) {
+    ++stats_.rejections;
+    return;
   }
-  EvictLockedUntilFits(&shard, memory_bytes);
-  shard.lru.push_front(Entry{key, std::move(tile), size_bytes, memory_bytes});
-  shard.index[key] = shard.lru.begin();
-  shard.bytes += memory_bytes;
-  ++shard.insertions;
+  lru_.push_front(Entry{key, std::move(tile), size_bytes, memory_bytes});
+  index_[key] = lru_.begin();
+  bytes_ += memory_bytes;
+  ++stats_.insertions;
 }
 
 void TileCache::Invalidate(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  MutexLock lock(&shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return;
-  shard.bytes -= it->second->memory_bytes;
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
-  ++shard.invalidations;
+  MutexLock lock(&mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) return;
+  EraseLocked(it->second);
+  ++stats_.invalidations;
 }
 
 int64_t TileCache::InvalidatePrefix(const std::string& prefix) {
+  MutexLock lock(&mu_);
   int64_t dropped = 0;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(&shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->key.compare(0, prefix.size(), prefix) == 0) {
-        shard.bytes -= it->memory_bytes;
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-        ++shard.invalidations;
-        ++dropped;
-      } else {
-        ++it;
-      }
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->key.compare(0, prefix.size(), prefix) == 0) {
+      EraseLocked(it++);
+      ++stats_.invalidations;
+      ++dropped;
+    } else {
+      ++it;
     }
   }
   return dropped;
 }
 
 void TileCache::Clear() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(&shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-  }
+  MutexLock lock(&mu_);
+  lru_.clear();
+  index_.clear();
+  bytes_ = 0;
+  counts_.clear();
+  requests_since_aging_ = 0;
 }
 
 TileCacheStats TileCache::Stats() const {
-  TileCacheStats stats;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    MutexLock lock(&shard.mu);
-    stats.hits += shard.hits;
-    stats.misses += shard.misses;
-    stats.insertions += shard.insertions;
-    stats.evictions += shard.evictions;
-    stats.invalidations += shard.invalidations;
-    stats.hit_bytes += shard.hit_bytes;
-    stats.resident_bytes += shard.bytes;
-    stats.resident_tiles += static_cast<int64_t>(shard.lru.size());
-  }
+  MutexLock lock(&mu_);
+  TileCacheStats stats = stats_;
+  stats.resident_bytes = bytes_;
+  stats.resident_tiles = static_cast<int64_t>(lru_.size());
   return stats;
 }
 
-TileCacheGroup::TileCacheGroup(int num_nodes, int64_t bytes_per_node,
-                               int shards_per_node)
+int64_t TileCache::CountedKeys() const {
+  MutexLock lock(&mu_);
+  return static_cast<int64_t>(counts_.size());
+}
+
+TileCacheGroup::TileCacheGroup(int num_nodes, int64_t bytes_per_node)
     : bytes_per_node_(std::max<int64_t>(bytes_per_node, 0)) {
   num_nodes = std::max(num_nodes, 0);
   caches_.reserve(num_nodes);
   for (int n = 0; n < num_nodes; ++n) {
-    caches_.push_back(
-        std::make_unique<TileCache>(bytes_per_node_, shards_per_node));
+    caches_.push_back(std::make_unique<TileCache>(bytes_per_node_));
   }
 }
 
@@ -151,6 +156,7 @@ TileCacheStats TileCacheGroup::TotalStats() const {
     total.insertions += s.insertions;
     total.evictions += s.evictions;
     total.invalidations += s.invalidations;
+    total.rejections += s.rejections;
     total.hit_bytes += s.hit_bytes;
     total.resident_bytes += s.resident_bytes;
     total.resident_tiles += s.resident_tiles;

@@ -75,6 +75,9 @@ void Executor::TagJobSpec(JobSpec* spec, int64_t trace_parent) const {
 
 Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
   const MetricsSnapshot before = metrics_->Snapshot();
+  const TileCacheStats cache_before = engine_->tile_caches() != nullptr
+                                          ? engine_->tile_caches()->TotalStats()
+                                          : TileCacheStats{};
   // One memory-budget group per run: task closures capture a borrowed
   // pointer, and every closure has finished (the engine's completion
   // latch) before Run returns, so the group safely lives on this frame.
@@ -101,6 +104,8 @@ Result<PlanStats> Executor::Run(const PhysicalPlan& plan) {
                            RunRounds(plan, memory_budget.get()));
   if (TileCacheGroup* caches = engine_->tile_caches()) {
     const TileCacheStats totals = caches->TotalStats();
+    metrics_->counter("cache.rejected")
+        ->Add(totals.rejections - cache_before.rejections);
     metrics_->gauge("cache.resident_bytes")->Set(totals.resident_bytes);
     metrics_->gauge("cache.resident_tiles")->Set(totals.resident_tiles);
   }

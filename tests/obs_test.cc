@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -438,10 +439,30 @@ TEST(TracerTest, GlobalTracerInstallAndReset) {
 // ---------------------------------------------------------------------------
 // Dual accounting: the executor's cache figures, the exec.cache.* metrics,
 // and the TileCacheGroup's own counters must tell the same story for one
-// real-mode run.
+// real-mode run: with blocking reads and with the prefetch pool (where a
+// request's cache lookup and its DFS read run on different threads), and
+// with a cache that never fills or one that declines admissions.
 // ---------------------------------------------------------------------------
 
-TEST(DualAccountingTest, ExecutorCacheFiguresMatchTileCacheCounters) {
+// A roomy cache never fills; a full one holds 8 of the 32 KiB tiles.
+constexpr int64_t kRoomyCacheBytes = 64 << 20;
+constexpr int64_t kFullCacheBytes = 256 << 10;
+
+struct DualAccountingCase {
+  const char* name;
+  bool prefetch;
+  int64_t cache_bytes_per_node;
+
+  friend void PrintTo(const DualAccountingCase& c, std::ostream* os) {
+    *os << c.name;
+  }
+};
+
+class DualAccountingTest
+    : public ::testing::TestWithParam<DualAccountingCase> {};
+
+TEST_P(DualAccountingTest, ExecutorCacheFiguresMatchTileCacheCounters) {
+  const DualAccountingCase& mode = GetParam();
   DfsOptions dfs_options;
   dfs_options.num_nodes = 4;
   dfs_options.replication = 2;
@@ -449,6 +470,7 @@ TEST(DualAccountingTest, ExecutorCacheFiguresMatchTileCacheCounters) {
   DfsTileStore store(&dfs);
   MetricsRegistry metrics;
   store.AttachMetrics(&metrics);
+  if (mode.prefetch) store.EnablePrefetch();
 
   TiledMatrix a{"A", TileLayout::Square(256, 256, 64)};
   TiledMatrix b{"B", TileLayout::Square(256, 256, 64)};
@@ -460,7 +482,7 @@ TEST(DualAccountingTest, ExecutorCacheFiguresMatchTileCacheCounters) {
   ClusterConfig cluster{MachineProfile{}, 4, 2};
   RealEngineOptions engine_options;
   engine_options.enable_tile_cache = true;
-  engine_options.cache_bytes_per_node = 64 << 20;
+  engine_options.cache_bytes_per_node = mode.cache_bytes_per_node;
   RealEngine engine(cluster, engine_options);
   store.AttachCaches(engine.tile_caches());
 
@@ -476,7 +498,11 @@ TEST(DualAccountingTest, ExecutorCacheFiguresMatchTileCacheCounters) {
 
   const TileCacheStats cache_totals = engine.tile_caches()->TotalStats();
   store.AttachCaches(nullptr);
-  ASSERT_GT(cache_totals.hits, 0) << "cache never hit; test is vacuous";
+  if (mode.cache_bytes_per_node == kFullCacheBytes) {
+    ASSERT_GT(cache_totals.rejections, 0) << "full cache never declined";
+  } else {
+    ASSERT_GT(cache_totals.hits, 0) << "cache never hit; test is vacuous";
+  }
 
   // Executor-reported figures == the cache group's own counters.
   EXPECT_EQ(stats->cache_hits, cache_totals.hits);
@@ -496,6 +522,8 @@ TEST(DualAccountingTest, ExecutorCacheFiguresMatchTileCacheCounters) {
             cache_totals.misses);
   EXPECT_EQ(stats->metrics.CounterOr("cache.hit_bytes", -1),
             cache_totals.hit_bytes);
+  EXPECT_EQ(stats->metrics.CounterOr("cache.rejected", -1),
+            cache_totals.rejections);
 
   // The resident-footprint gauges mirror the group's live state at the
   // end of the run.
@@ -505,6 +533,17 @@ TEST(DualAccountingTest, ExecutorCacheFiguresMatchTileCacheCounters) {
   EXPECT_EQ(end.gauges.at("cache.resident_tiles"),
             cache_totals.resident_tiles);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, DualAccountingTest,
+    ::testing::Values(
+        DualAccountingCase{"PrefetchOff", false, kRoomyCacheBytes},
+        DualAccountingCase{"PrefetchOn", true, kRoomyCacheBytes},
+        DualAccountingCase{"PrefetchOffFullCache", false, kFullCacheBytes},
+        DualAccountingCase{"PrefetchOnFullCache", true, kFullCacheBytes}),
+    [](const ::testing::TestParamInfo<DualAccountingCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace cumulon

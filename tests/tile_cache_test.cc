@@ -1,7 +1,9 @@
 #include "dfs/tile_cache.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "exec/executor.h"
 #include "exec/physical_plan.h"
 #include "matrix/tiled_matrix.h"
+#include "obs/metrics.h"
 
 namespace cumulon {
 namespace {
@@ -34,7 +37,7 @@ const int64_t kTileBytes = MakeTile(4, 4, 0.0)->SizeBytes();
 const int64_t kTileMemoryBytes = MakeTile(4, 4, 0.0)->MemoryBytes();
 
 TEST(TileCacheTest, MissThenHit) {
-  TileCache cache(10 * kTileBytes, /*num_shards=*/1);
+  TileCache cache(10 * kTileBytes);
   EXPECT_EQ(cache.Get("a"), nullptr);
   cache.Put("a", MakeTile(4, 4, 1.0));
   auto hit = cache.Get("a");
@@ -51,10 +54,12 @@ TEST(TileCacheTest, MissThenHit) {
 }
 
 TEST(TileCacheTest, EvictsLeastRecentlyUsedFirst) {
-  // Room for exactly two tiles in one shard.
-  TileCache cache(2 * kTileBytes, /*num_shards=*/1);
+  // Room for exactly two tiles.
+  TileCache cache(2 * kTileBytes);
   cache.Put("a", MakeTile(4, 4, 1.0));
   cache.Put("b", MakeTile(4, 4, 2.0));
+  // One request makes "c" hotter than the never-requested residents.
+  EXPECT_EQ(cache.Get("c"), nullptr);
   cache.Put("c", MakeTile(4, 4, 3.0));  // evicts "a", the LRU entry
   EXPECT_EQ(cache.Get("a"), nullptr);
   EXPECT_NE(cache.Get("b"), nullptr);
@@ -64,10 +69,11 @@ TEST(TileCacheTest, EvictsLeastRecentlyUsedFirst) {
 }
 
 TEST(TileCacheTest, GetPromotesEntryToMostRecentlyUsed) {
-  TileCache cache(2 * kTileBytes, /*num_shards=*/1);
+  TileCache cache(2 * kTileBytes);
   cache.Put("a", MakeTile(4, 4, 1.0));
   cache.Put("b", MakeTile(4, 4, 2.0));
   ASSERT_NE(cache.Get("a"), nullptr);  // "b" is now the LRU entry
+  EXPECT_EQ(cache.Get("c"), nullptr);  // "c" outranks never-requested "b"
   cache.Put("c", MakeTile(4, 4, 3.0));
   EXPECT_NE(cache.Get("a"), nullptr);
   EXPECT_EQ(cache.Get("b"), nullptr);
@@ -75,11 +81,189 @@ TEST(TileCacheTest, GetPromotesEntryToMostRecentlyUsed) {
 }
 
 TEST(TileCacheTest, OversizedTileIsNotCached) {
-  TileCache cache(kTileBytes, /*num_shards=*/1);
+  TileCache cache(kTileBytes);
   cache.Put("big", MakeTile(64, 64, 1.0));
   EXPECT_EQ(cache.Get("big"), nullptr);
   EXPECT_EQ(cache.Stats().resident_tiles, 0);
   EXPECT_EQ(cache.Stats().insertions, 0);
+}
+
+// Reads through the cache the way DfsTileStore does: a miss is followed
+// by a Put of the fetched tile. Returns whether the request hit.
+bool ReadThrough(TileCache* cache, const std::string& key) {
+  if (cache->Get(key) != nullptr) return true;
+  cache->Put(key, MakeTile(4, 4, 0.0));
+  return false;
+}
+
+TEST(TileCacheTest, CyclicScanKeepsAResidentSetAcrossCycles) {
+  // A cyclic scan over twice the capacity, the way an iterative program
+  // re-reads an input larger than the node cache. LRU admits every miss
+  // and evicts each tile just before its next use, so it hits nothing
+  // after the first cycle. Here every key is requested equally often, so
+  // the residents win every tie, keep their place and are hit on every
+  // cycle. An aging sweep that lands mid-cycle can halve counts c and
+  // c - 1 to the same value; the scanned keys then win the next tie and
+  // swap part of the resident set, which costs hits in about one cycle
+  // per sweep. Capacity 8 puts every sweep on a cycle boundary
+  // (16 x 8 + 64 = 12 cycles of 16); 5 and 12 do not.
+  for (const int capacity : {5, 8, 12}) {
+    SCOPED_TRACE(StrCat("capacity ", capacity));
+    TileCache cache(capacity * kTileMemoryBytes);
+    constexpr int kCycles = 60;
+    int64_t hits_after_first = 0;
+    int full_cycles = 0;
+    for (int cycle = 0; cycle < kCycles; ++cycle) {
+      int hits = 0;
+      for (int k = 0; k < 2 * capacity; ++k) {
+        hits += ReadThrough(&cache, StrCat("k", k)) ? 1 : 0;
+      }
+      EXPECT_EQ(cache.Stats().resident_tiles, capacity);
+      if (cycle == 0) {
+        EXPECT_EQ(hits, 0);
+        continue;
+      }
+      hits_after_first += hits;
+      full_cycles += hits == capacity ? 1 : 0;
+      if (capacity == 8) {
+        EXPECT_EQ(hits, capacity) << "cycle " << cycle;
+      }
+    }
+    // LRU would score 0 on both.
+    EXPECT_GE(hits_after_first, 0.9 * (kCycles - 1) * capacity);
+    EXPECT_GE(full_cycles, 0.9 * (kCycles - 1));
+  }
+}
+
+TEST(TileCacheTest, HotterKeyDisplacesColderResidentButATieDoesNot) {
+  TileCache cache(2 * kTileMemoryBytes);
+  ReadThrough(&cache, "a");  // free space: admitted with one request each
+  ReadThrough(&cache, "b");
+  ASSERT_EQ(cache.Stats().resident_tiles, 2);
+
+  EXPECT_FALSE(ReadThrough(&cache, "c"));  // 1 request vs LRU "a"'s 1
+  TileCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.rejections, 1);
+  EXPECT_EQ(stats.evictions, 0);
+
+  EXPECT_FALSE(ReadThrough(&cache, "c"));  // 2 requests beat "a"'s 1
+  stats = cache.Stats();
+  EXPECT_EQ(stats.rejections, 1);
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.insertions, 3);
+  EXPECT_TRUE(ReadThrough(&cache, "b"));
+  EXPECT_TRUE(ReadThrough(&cache, "c"));
+}
+
+TEST(TileCacheTest, LargeTileMustBeatEveryVictimItWouldEvict) {
+  // Four small tiles fill the cache; the large one needs two of them.
+  const auto large = MakeTile(4, 8, 7.0);
+  ASSERT_EQ(large->MemoryBytes(), 2 * kTileMemoryBytes);
+  TileCache cache(4 * kTileMemoryBytes);
+  // Counts before residency, so the LRU order stays a, b, c, d (a oldest):
+  // the tail "a" is cold, the next victim "b" is hot.
+  cache.Get("a");
+  for (int i = 0; i < 3; ++i) cache.Get("b");
+  for (const char* key : {"a", "b", "c", "d"}) {
+    cache.Put(key, MakeTile(4, 4, 1.0));
+  }
+  for (int i = 0; i < 2; ++i) cache.Get("L");  // beats "a" (1), not "b" (3)
+  cache.Put("L", large);
+  TileCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.rejections, 1);
+  EXPECT_EQ(stats.evictions, 0) << "a rejected tile must evict nothing";
+  EXPECT_EQ(stats.resident_tiles, 4);
+
+  for (int i = 0; i < 2; ++i) cache.Get("L");  // 4 requests beat both
+  cache.Put("L", large);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.evictions, 2);
+  EXPECT_EQ(stats.resident_tiles, 3);
+  EXPECT_EQ(stats.resident_bytes, 4 * kTileMemoryBytes);
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  EXPECT_EQ(cache.Get("b"), nullptr);
+  auto got = cache.Get("L");
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->At(0, 0), 7.0);
+}
+
+TEST(TileCacheTest, AgingAdmitsANewWorkingSetWithinTwoPeriods) {
+  // Requests move from one working set to another of the same size. The
+  // old keys' counts stop growing and each sweep halves them; the new
+  // keys count up until they beat the LRU tail. With 4 resident tiles the
+  // aging period is 16 x 4 + 64 = 128 requests, and the new set is fully
+  // resident within two periods wherever in a period the switch lands.
+  constexpr int kCapacity = 4;
+  constexpr int64_t kPeriod = TileCache::kAgingRequestsPerTile * kCapacity +
+                              TileCache::kAgingBaseRequests;
+  for (int warmup = 1000; warmup < 1000 + kPeriod; warmup += 9) {
+    SCOPED_TRACE(StrCat("warm-up requests ", warmup));
+    TileCache cache(kCapacity * kTileMemoryBytes);
+    for (int r = 0; r < warmup; ++r) {
+      ReadThrough(&cache, StrCat("old", r % kCapacity));
+    }
+    // Requests made before a whole pass over the new set hits.
+    int64_t requests = 0;
+    auto pass_hits_all = [&] {
+      bool all = true;
+      for (int k = 0; k < kCapacity; ++k) {
+        all = ReadThrough(&cache, StrCat("new", k)) && all;
+      }
+      return all;
+    };
+    while (!pass_hits_all() && requests < 10 * kPeriod) {
+      requests += kCapacity;
+    }
+    EXPECT_LE(requests, 2 * kPeriod);
+  }
+}
+
+TEST(TileCacheTest, CountTableStaysBoundedUnderManyDistinctKeys) {
+  // A long-lived daemon reads an unbounded stream of distinct tiles. Half
+  // the requests go to a small hot set so that some counts survive
+  // sweeps; the table must never outgrow the class comment's bound.
+  constexpr int kCapacity = 8;
+  TileCache cache(kCapacity * kTileMemoryBytes);
+  const int64_t bound = TileCache::CountTableBound(kCapacity);
+  int64_t largest = 0;
+  for (int i = 0; i < 100000; ++i) {
+    ReadThrough(&cache, StrCat("cold", i));
+    ReadThrough(&cache, StrCat("hot", i % 4));
+    largest = std::max(largest, cache.CountedKeys());
+    ASSERT_LE(cache.CountedKeys(), bound) << "after " << i << " cold keys";
+  }
+  EXPECT_GT(largest, bound / 8) << "bound check is vacuous";
+  EXPECT_LE(cache.Stats().resident_tiles, kCapacity);
+}
+
+TEST(TileCacheTest, TileUpToTheWholeBudgetIsCacheable) {
+  // One LRU per node: no shard caps the tile size below the node budget.
+  // A 4 MiB tile fits a 16 MiB cache, and a tile of exactly the budget
+  // fits a cache of that size.
+  const auto four_mib = MakeTile(512, 1024, 2.0);
+  TileCache node(16 << 20);
+  node.Put("t", four_mib);
+  EXPECT_NE(node.Get("t"), nullptr);
+
+  TileCache exact(four_mib->MemoryBytes());
+  exact.Put("t", four_mib);
+  EXPECT_NE(exact.Get("t"), nullptr);
+  EXPECT_EQ(exact.Stats().resident_bytes, exact.capacity_bytes());
+}
+
+TEST(TileCacheTest, RejectedPutOfACachedKeyLeavesNoStaleCopy) {
+  TileCache cache(2 * kTileMemoryBytes);
+  cache.Put("a", MakeTile(4, 4, 1.0));
+  cache.Put("b", MakeTile(4, 4, 2.0));
+  for (int i = 0; i < 3; ++i) ASSERT_NE(cache.Get("b"), nullptr);
+  // The new "a" needs both slots, and "b" is hotter: rejected. The old "a"
+  // is gone all the same.
+  cache.Put("a", MakeTile(4, 8, 9.0));
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  const TileCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.rejections, 1);
+  EXPECT_EQ(stats.resident_tiles, 1);
+  EXPECT_EQ(stats.resident_bytes, kTileMemoryBytes);
 }
 
 TEST(TileCacheTest, NonPositiveCapacityDisablesCaching) {
@@ -89,7 +273,7 @@ TEST(TileCacheTest, NonPositiveCapacityDisablesCaching) {
 }
 
 TEST(TileCacheTest, PutReplacesExistingEntry) {
-  TileCache cache(4 * kTileBytes, /*num_shards=*/1);
+  TileCache cache(4 * kTileBytes);
   cache.Put("a", MakeTile(4, 4, 1.0));
   cache.Put("a", MakeTile(4, 4, 9.0));
   auto got = cache.Get("a");
@@ -99,7 +283,7 @@ TEST(TileCacheTest, PutReplacesExistingEntry) {
 }
 
 TEST(TileCacheTest, InvalidateDropsKeyAndPrefixDropsSubtree) {
-  TileCache cache(16 * kTileBytes, /*num_shards=*/4);
+  TileCache cache(16 * kTileBytes);
   cache.Put("/matrix/A/t_0_0", MakeTile(4, 4, 1.0));
   cache.Put("/matrix/A/t_0_1", MakeTile(4, 4, 2.0));
   cache.Put("/matrix/AB/t_0_0", MakeTile(4, 4, 3.0));
@@ -116,7 +300,7 @@ TEST(TileCacheTest, ConcurrentMixedOperationsStayConsistent) {
   // Small capacity forces constant eviction while 8 threads hammer
   // overlapping keys. Every hit must return the exact tile stored under
   // that key (value = key index), never a torn or mismatched payload.
-  TileCache cache(8 * kTileBytes, /*num_shards=*/4);
+  TileCache cache(8 * kTileBytes);
   constexpr int kThreads = 8;
   constexpr int kKeys = 32;
   constexpr int kOpsPerThread = 4000;
@@ -230,6 +414,45 @@ TEST(DfsTileStoreCacheTest, DeleteMatrixDropsCachedTiles) {
   ASSERT_TRUE(store.DeleteMatrix("m").ok());
   EXPECT_FALSE(store.Get("m", TileId{0, 0}, 2).ok());
   EXPECT_FALSE(store.Get("m", TileId{0, 0}, 0).ok());
+}
+
+TEST(DfsTileStoreCacheTest, PrefetchedRequestIsCountedOnce) {
+  // Node 0's cache holds one tile, R, requested twice. A candidate X
+  // requested twice through GetAsync ties R and must stay out: if the pool
+  // worker's fetch looked the tile up again, each GetAsync would count
+  // twice and X would displace R.
+  SimDfs dfs(SmallDfs());
+  DfsTileStore store(&dfs, /*verify_checksums=*/true);
+  TileCacheGroup caches(4, kTileMemoryBytes);
+  store.AttachCaches(&caches);
+  MetricsRegistry metrics;
+  store.AttachMetrics(&metrics);
+  store.EnablePrefetch(2);
+
+  ASSERT_TRUE(store.Put("m", TileId{0, 0}, MakeTile(4, 4, 1.0), 0).ok());
+  ASSERT_TRUE(store.Put("m", TileId{0, 1}, MakeTile(4, 4, 2.0), 1).ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(store.Get("m", TileId{0, 0}, 0).ok());
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto got = store.GetAsync("m", TileId{0, 1}, 0).Await();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ((*got)->At(0, 0), 2.0);
+  }
+  // The second GetAsync may join the first fetch before the pool worker
+  // unpublishes it, so one or two Puts of X reach the cache.
+  const TileCacheStats node0 = caches.node(0)->Stats();
+  EXPECT_GE(node0.rejections, 1);
+  EXPECT_EQ(node0.insertions, 1) << "only R's write landed";
+  EXPECT_EQ(node0.resident_tiles, 1);
+  EXPECT_EQ(node0.misses, 2) << "one lookup per GetAsync";
+  EXPECT_EQ(metrics.Snapshot().CounterOr("cache.misses", -1), node0.misses);
+
+  const int64_t reads = dfs.TotalStats().reads;
+  auto resident = store.Get("m", TileId{0, 0}, 0);
+  ASSERT_TRUE(resident.ok());
+  EXPECT_EQ((*resident)->At(0, 0), 1.0);
+  EXPECT_EQ(dfs.TotalStats().reads, reads) << "R was displaced";
 }
 
 TEST(DfsTileStoreCacheTest, ChecksumStillCatchesCorruptionOnMiss) {
