@@ -1,8 +1,8 @@
 // E10 — the paper's "benchmarking" step as google-benchmark micros: raw
 // per-tile kernel throughput feeding the cost-model calibration. The hot
 // kernels run once per dispatch mode (scalar register-blocked oracle vs
-// packed AVX2+FMA, DESIGN.md "Kernel architecture") so the SIMD speedup
-// is visible in one run. JSON output via the library's own
+// the packed SIMD kernels, Gemm at the dispatched vector width, DESIGN.md
+// "Kernel architecture") so the SIMD speedup is visible in one run. JSON output via the library's own
 // `--benchmark_format=json` / `--benchmark_out=FILE`.
 
 #include <benchmark/benchmark.h>

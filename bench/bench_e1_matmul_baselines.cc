@@ -9,10 +9,13 @@
 //
 // `--kernels-only [--json FILE]` skips the cluster comparison and instead
 // measures the raw per-tile Gemm kernels (scalar register-blocked oracle
-// vs packed AVX2+FMA micro-kernel, DESIGN.md "Kernel architecture"),
-// reporting single-core GFLOP/s and the SIMD speedup, plus Gemm(A^T * B)
-// at 512^3 in both modes: a transposed operand is packed straight from its
-// stored tile, and this row is what that costs against the plain multiply.
+// vs the packed SIMD micro-kernel at the dispatched vector width, DESIGN.md
+// "Kernel architecture"), reporting single-core GFLOP/s and the SIMD
+// speedup, plus Gemm(A^T * B) at 512^3 in both modes: a transposed operand
+// is read in place from its stored tile, and this row is what that costs
+// against the plain multiply. The products the benchmark's real workloads
+// run (rsvd-io, gnmf-io) get one row each with the scalar oracle and every
+// vector width the CPU has, called directly.
 // It also reports the tile checksum (Checksum64) in GB/s at 512 KiB and
 // 64 KiB, the sizes of the benchmark workloads' tiles, since every DFS
 // write and verified read hashes a whole tile. CI uploads the JSON as the
@@ -23,6 +26,7 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
+#include "matrix/gemm_packed.h"
 #include "matrix/kernel_config.h"
 #include "matrix/tile_io.h"
 
@@ -103,26 +107,92 @@ void Run() {
 // --kernels-only: raw Gemm kernel throughput, scalar vs SIMD
 // ---------------------------------------------------------------------------
 
-/// Single-core GFLOP/s of `mode`'s Gemm on an n x n x n multiply with A
-/// read in orientation `a_orient`, repeated until ~0.2s of work so small
-/// sizes are not timer-bound.
-double MeasureGemmGflops(KernelMode mode, int64_t n,
-                         Orientation a_orient = Orientation::kAsStored) {
+using GemmFn = Status (*)(const Tile&, const Tile&, double, double, Tile*,
+                          Orientation, Orientation);
+
+/// One product op(A) (m x k) * op(B) (k x n), operands stored per
+/// orientation.
+struct Product {
+  const char* label;
+  int64_t m, k, n;
+  Orientation a_orient, b_orient;
+};
+
+/// Single-core GFLOP/s of `gemm` on `p` with beta = 0, repeated until ~2
+/// GFLOP of work so small sizes are not timer-bound.
+double MeasureProductGflops(GemmFn gemm, const Product& p) {
   Rng rng(7);
-  Tile a(n, n), b(n, n), c(n, n);
+  const bool ta = p.a_orient == Orientation::kTransposed;
+  const bool tb = p.b_orient == Orientation::kTransposed;
+  Tile a(ta ? p.k : p.m, ta ? p.m : p.k);
+  Tile b(tb ? p.n : p.k, tb ? p.k : p.n);
+  Tile c(p.m, p.n);
   FillGaussian(&a, &rng);
   FillGaussian(&b, &rng);
-  const double flops = 2.0 * n * n * n;
-  Status st = Gemm(a, b, 1.0, 0.0, &c, a_orient);  // warm caches, fault pages
+  const double flops = 2.0 * p.m * p.k * p.n;
+  // Warm caches and fault pages.
+  Status st = gemm(a, b, 1.0, 0.0, &c, p.a_orient, p.b_orient);
   CUMULON_CHECK(st.ok()) << st;
   const int reps = std::max<int>(1, static_cast<int>(2e9 / flops));
   Stopwatch sw;
   for (int r = 0; r < reps; ++r) {
-    st = GemmWithMode(mode, a, b, 1.0, 0.0, &c, a_orient);
+    st = gemm(a, b, 1.0, 0.0, &c, p.a_orient, p.b_orient);
     CUMULON_CHECK(st.ok()) << st;
   }
   return flops * reps / sw.ElapsedSeconds() / 1e9;
 }
+
+Status ScalarGemm(const Tile& a, const Tile& b, double alpha, double beta,
+                  Tile* c, Orientation a_orient, Orientation b_orient) {
+  return GemmWithMode(KernelMode::kScalar, a, b, alpha, beta, c, a_orient,
+                      b_orient);
+}
+
+Status SimdGemm(const Tile& a, const Tile& b, double alpha, double beta,
+                Tile* c, Orientation a_orient, Orientation b_orient) {
+  return GemmWithMode(KernelMode::kSimd, a, b, alpha, beta, c, a_orient,
+                      b_orient);
+}
+
+/// Single-core GFLOP/s of `mode`'s Gemm on an n x n x n multiply with A
+/// read in orientation `a_orient`.
+double MeasureGemmGflops(KernelMode mode, int64_t n,
+                         Orientation a_orient = Orientation::kAsStored) {
+  return MeasureProductGflops(
+      mode == KernelMode::kScalar ? ScalarGemm : SimdGemm,
+      Product{"", n, n, n, a_orient, Orientation::kAsStored});
+}
+
+/// The products of the benchmark's real workloads (bench/suite,
+/// workload_real.cc), one tile each.
+const Product kWorkloadProducts[] = {
+    {"rsvd-io X*V", 512, 512, 64, Orientation::kAsStored,
+     Orientation::kAsStored},
+    {"rsvd-io X^T*U", 512, 512, 64, Orientation::kTransposed,
+     Orientation::kAsStored},
+    {"gnmf-io W^T*V", 32, 256, 256, Orientation::kTransposed,
+     Orientation::kAsStored},
+    {"gnmf-io V*H^T", 256, 256, 32, Orientation::kAsStored,
+     Orientation::kTransposed},
+};
+
+/// `gflops` with `decimals` decimals, or `absent` for a width the CPU
+/// lacks (negative).
+std::string FormatGflops(double gflops, int decimals, const char* absent) {
+  if (gflops < 0) return absent;
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, gflops);
+  return buf;
+}
+
+/// Scalar, AVX2 and (when the CPU has it) AVX-512 GFLOP/s of one product;
+/// a width the CPU lacks reads -1.
+struct WidthRow {
+  const Product* product;
+  double scalar_gflops;
+  double avx2_gflops;
+  double avx512_gflops;
+};
 
 /// Single-core GB/s of Checksum64 over a `bytes`-long buffer, repeated
 /// until ~2 GB have been hashed.
@@ -146,8 +216,9 @@ struct KernelRow {
 
 void RunKernelsOnly(const std::string& json_path) {
   PrintHeader("E1 (kernels): single-core tile Gemm, scalar vs SIMD");
-  std::printf("SIMD dispatch: %s\n",
-              SimdKernelAvailable() ? "avx2+fma" : "unavailable (scalar)");
+  const char* dispatched = GemmKernelName(KernelMode::kSimd);
+  std::printf("SIMD dispatch: %s%s\n", dispatched,
+              SimdKernelAvailable() ? "" : " (no avx2+fma)");
   std::printf("%-12s %14s %14s %10s\n", "n (n^3 mul)", "scalar GF/s",
               "simd GF/s", "speedup");
   PrintRule();
@@ -175,6 +246,32 @@ void RunKernelsOnly(const std::string& json_path) {
   std::printf("A^T B vs plain at 512: scalar %.2fx, simd %.2fx\n",
               at.scalar_gflops / plain.scalar_gflops,
               at.simd_gflops / plain.simd_gflops);
+  std::printf("\n%-16s %11s %14s %12s %12s %12s\n", "workload product",
+              "m x k x n", "scalar GF/s", "avx2 GF/s", "avx512 GF/s",
+              "vs scalar");
+  PrintRule();
+  std::vector<WidthRow> width_rows;
+  for (const Product& p : kWorkloadProducts) {
+    WidthRow row{&p, MeasureProductGflops(ScalarGemm, p), -1.0, -1.0};
+    if (CpuSupportsSimdWidth(SimdWidth::kAvx2)) {
+      row.avx2_gflops =
+          MeasureProductGflops(kernel_internal::GemmPackedAvx2, p);
+    }
+    if (CpuSupportsSimdWidth(SimdWidth::kAvx512)) {
+      row.avx512_gflops =
+          MeasureProductGflops(kernel_internal::GemmPackedAvx512, p);
+    }
+    const double best = std::max(row.avx2_gflops, row.avx512_gflops);
+    const std::string shape = StrCat(p.m, "x", p.k, "x", p.n);
+    std::printf("%-16s %11s %14.2f %12s %12s %11sx\n", p.label,
+                shape.c_str(), row.scalar_gflops,
+                FormatGflops(row.avx2_gflops, 2, "-").c_str(),
+                FormatGflops(row.avx512_gflops, 2, "-").c_str(),
+                FormatGflops(best < 0 ? -1.0 : best / row.scalar_gflops, 2,
+                             "-")
+                    .c_str());
+    width_rows.push_back(row);
+  }
   const size_t checksum_kib[] = {512, 64};
   double checksum_gbps[2];
   for (int i = 0; i < 2; ++i) {
@@ -185,8 +282,10 @@ void RunKernelsOnly(const std::string& json_path) {
   if (json_path.empty()) return;
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   CUMULON_CHECK(f != nullptr) << "cannot write " << json_path;
-  std::fprintf(f, "{\"bench\":\"e1_kernels\",\"simd_available\":%s,",
-               SimdKernelAvailable() ? "true" : "false");
+  std::fprintf(f,
+               "{\"bench\":\"e1_kernels\",\"simd_available\":%s,"
+               "\"simd_width\":\"%s\",",
+               SimdKernelAvailable() ? "true" : "false", dispatched);
   std::fprintf(f, "\"gemm\":[");
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(f,
@@ -203,6 +302,24 @@ void RunKernelsOnly(const std::string& json_path) {
                static_cast<long long>(at.n), at.scalar_gflops,
                at.simd_gflops, at.scalar_gflops / plain.scalar_gflops,
                at.simd_gflops / plain.simd_gflops);
+  std::fprintf(f, "\"workload_gemm\":[");
+  for (size_t i = 0; i < width_rows.size(); ++i) {
+    const WidthRow& row = width_rows[i];
+    const Product& p = *row.product;
+    std::fprintf(f,
+                 "%s{\"product\":\"%s\",\"m\":%lld,\"k\":%lld,"
+                 "\"n\":%lld,\"a_transposed\":%s,\"b_transposed\":%s,"
+                 "\"scalar_gflops\":%.3f,\"avx2_gflops\":%s,"
+                 "\"avx512_gflops\":%s}",
+                 i == 0 ? "" : ",", p.label, static_cast<long long>(p.m),
+                 static_cast<long long>(p.k), static_cast<long long>(p.n),
+                 p.a_orient == Orientation::kTransposed ? "true" : "false",
+                 p.b_orient == Orientation::kTransposed ? "true" : "false",
+                 row.scalar_gflops,
+                 FormatGflops(row.avx2_gflops, 3, "null").c_str(),
+                 FormatGflops(row.avx512_gflops, 3, "null").c_str());
+  }
+  std::fprintf(f, "],");
   std::fprintf(f,
                "\"tile_checksum\":[{\"kib\":%zu,\"gbps\":%.3f},"
                "{\"kib\":%zu,\"gbps\":%.3f}]}\n",

@@ -44,8 +44,11 @@ std::vector<int> RealEngine::PlaceTasks(const JobSpec& job) const {
   }
   // A machine may take at most its balanced share of the job (its slots'
   // worth per wave, i.e. tasks/machines rounded up) before locality stops
-  // justifying the skew; beyond that, or without preferences, assignment
-  // falls back to the task-index round-robin.
+  // justifying the skew; beyond that, or without preferences, a task goes
+  // to the least-loaded machine, ties to the task-index round-robin one
+  // (i % machines) and then onward from it. The least-loaded machine is
+  // always under the cap, and a job without preferences is placed exactly
+  // round-robin.
   const int64_t cap =
       (static_cast<int64_t>(job.tasks.size()) + machines - 1) / machines;
   std::vector<int64_t> load(machines, 0);
@@ -56,7 +59,14 @@ std::vector<int> RealEngine::PlaceTasks(const JobSpec& job) const {
       if (mch < 0 || mch >= machines || load[mch] >= cap) continue;
       if (chosen < 0 || load[mch] < load[chosen]) chosen = mch;
     }
-    if (chosen < 0) chosen = static_cast<int>(i) % machines;
+    if (chosen < 0) {
+      const int start = static_cast<int>(i) % machines;
+      chosen = start;
+      for (int step = 1; step < machines; ++step) {
+        const int mch = (start + step) % machines;
+        if (load[mch] < load[chosen]) chosen = mch;
+      }
+    }
     placement[i] = chosen;
     ++load[chosen];
   }

@@ -68,8 +68,9 @@ struct RealEngineOptions {
 /// Executes task closures for real on a thread pool and measures wall-clock
 /// time. Tasks preferring the machines that hold their inputs are placed
 /// there while capacity lasts (see RealEngineOptions::locality_aware);
-/// everything else is assigned round-robin so the DFS locality accounting
-/// still sees a spread of reader/writer nodes.
+/// everything else goes to the least-loaded machine, round-robin among
+/// equals, so no machine takes more than its share of a job and the DFS
+/// locality accounting still sees a spread of reader/writer nodes.
 class RealEngine : public Engine {
  public:
   RealEngine(const ClusterConfig& config, const RealEngineOptions& options);
@@ -82,7 +83,8 @@ class RealEngine : public Engine {
 
  private:
   /// Greedy placement of every task of `job`: preferred machines first
-  /// (least-loaded, capped at a balanced share), round-robin fallback.
+  /// (least-loaded, capped at a balanced share), then the least-loaded
+  /// machine, ties broken round-robin.
   std::vector<int> PlaceTasks(const JobSpec& job) const;
 
   ClusterConfig config_;

@@ -46,10 +46,10 @@ Result<CalibrationResult> Calibrate(const CalibrationOptions& options) {
 
   CalibrationResult result;
   // Record what actually runs after dispatch, so callers persisting the
-  // result can tell a SIMD calibration from a scalar one.
+  // result can tell the calibrations of the two SIMD widths and the scalar
+  // oracle apart.
   const KernelMode mode = options.kernel_mode;
-  result.kernel =
-      ResolveKernelMode(mode) == KernelMode::kSimd ? "simd" : "scalar";
+  result.kernel = GemmKernelName(mode);
 
   // GEMM probe: best-of-n 2d^3-flop multiplies.
   double best = 1e30;

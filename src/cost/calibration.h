@@ -16,11 +16,12 @@ struct CalibrationResult {
   double ew_gelems = 0.0;         // element-wise Gelem/s
   double transpose_gelems = 0.0;  // transpose Gelem/s
 
-  /// Kernel implementation the probes actually ran ("scalar" or "simd",
-  /// after dispatch resolution), so a stored calibration is only reused
-  /// for executions running the same kernel: the packed SIMD GEMM is
-  /// several times faster than the oracle, and a flops term calibrated on
-  /// one badly mispredicts the other.
+  /// Gemm kernel the probes actually ran after dispatch resolution
+  /// ("avx512", "avx2" or "scalar", GemmKernelName), so a stored
+  /// calibration is only reused for executions running the same kernel:
+  /// the packed SIMD Gemm is several times faster than the oracle and its
+  /// AVX-512 width about twice its AVX2 one, and a flops term calibrated on
+  /// one badly mispredicts another.
   std::string kernel = "scalar";
 
   /// Cost model with ratios normalized to the reference machine.

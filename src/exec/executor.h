@@ -50,8 +50,9 @@ struct ExecutorOptions {
   bool parallelize_independent_jobs = false;
 
   /// Which tile-kernel implementation task bodies run (matrix/
-  /// kernel_config.h): kAuto dispatches to the packed AVX2+FMA kernel via
-  /// CPUID (honoring the CUMULON_KERNEL env override), kScalar forces the
+  /// kernel_config.h): kAuto dispatches to the packed SIMD kernels via
+  /// CPUID (Gemm at the widest width, AVX-512F or AVX2+FMA; honoring the
+  /// CUMULON_KERNEL env override), kScalar forces the
   /// bit-exact oracle. Gemm results under kSimd/kAuto keep a fixed
   /// (ascending-k) accumulation order but use FMA rounding, so they are
   /// tolerance-equal — not bit-equal — to kScalar runs; element-wise and

@@ -4,15 +4,17 @@
 #include <cstdint>
 
 #include "common/status.h"
+#include "matrix/gemm_micro_kernel.h"
 #include "matrix/tile.h"
 #include "matrix/tile_ops.h"
 
-/// Internal: the AVX2+FMA vector kernels behind tile_ops.cc's dispatch.
-/// Callers must check SimdKernelAvailable() (kernel_config.h) first — these
-/// execute AVX2/FMA instructions unconditionally. Exposed in a header so
-/// kernel_test.cc can pin them against the scalar oracle directly and the
-/// benches can time each path; production code goes through the dispatching
-/// entry points in tile_ops.h.
+/// Internal: the vector kernels behind tile_ops.cc's dispatch. Callers must
+/// check SimdKernelAvailable() / DispatchedSimdWidth() (kernel_config.h)
+/// first — these execute AVX2+FMA or AVX-512F instructions unconditionally.
+/// Exposed in a header so kernel_test.cc can pin each Gemm width against the
+/// scalar oracle and against the other directly, and the benches can time
+/// each path; production code goes through the dispatching entry points in
+/// tile_ops.h.
 
 namespace cumulon {
 namespace kernel_internal {
@@ -22,17 +24,23 @@ namespace kernel_internal {
 /// functions below abort if called.
 bool PackedKernelCompiled();
 
-/// C = alpha*op(A)*op(B) + beta*C via BLIS-style packing: B panels
-/// repacked into 8-wide column strips (L1-resident), A blocks into 6-wide
-/// row strips (L2-resident, alpha folded in at pack time), 6x8 FMA
-/// register-tiled inner kernel, scalar tails for edge rows/cols. A
-/// transposed operand is packed straight from its stored tile with
-/// swapped strides; the packed panels, and so every result bit, are the
-/// same as for a transposed copy. Reorder-safe: each C element accumulates
-/// its k terms in ascending order starting from the beta-scaled value,
-/// exactly like the scalar oracle — only FMA's fused rounding differs.
+/// C = alpha*op(A)*op(B) + beta*C at one vector width (gemm_micro_kernel.h):
+/// C is beta-scaled once, then B is packed kc x nc at a time into
+/// zero-padded panels of the width's register-tile columns, and op(A) is
+/// read in place from its stored tile — MR row streams as stored, MR
+/// contiguous doubles per k when transposed — one broadcast per row per k
+/// with alpha folded in (alpha * a). The register tile is 6x8 (AVX2) or
+/// 8x16 (AVX-512); edge rows run the same micro-kernel instantiated for
+/// fewer rows and edge columns use masked C loads and stores. Every C
+/// element is its beta-scaled value followed by its k terms as ascending
+/// FMAs, so the two widths, any blocking, and a transposed operand versus a
+/// transposed copy all give the same bits; only FMA's fused rounding
+/// differs from the scalar oracle.
 Status GemmPackedAvx2(const Tile& a, const Tile& b, double alpha, double beta,
                       Tile* c, Orientation a_orient, Orientation b_orient);
+Status GemmPackedAvx512(const Tile& a, const Tile& b, double alpha,
+                        double beta, Tile* c, Orientation a_orient,
+                        Orientation b_orient);
 
 /// o[i] = op(a[i], b[i]). Bit-identical to the scalar loop: one IEEE op per
 /// element, no FMA; max/min are compare+blend replicating std::max/min

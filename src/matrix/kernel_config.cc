@@ -8,6 +8,8 @@
 #include <unistd.h>
 #endif
 
+#include "matrix/gemm_micro_kernel.h"
+
 namespace cumulon {
 
 namespace {
@@ -15,10 +17,19 @@ namespace {
 constexpr int64_t kFallbackL1d = 32 * 1024;
 constexpr int64_t kFallbackL2 = 1024 * 1024;
 
-/// Whether this build + CPU can execute the AVX2+FMA kernel at all.
+/// Whether this build + CPU can execute the AVX2+FMA kernels at all.
 bool CpuSupportsAvx2Fma() {
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#if CUMULON_HAVE_X86_KERNELS
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+/// Whether it can also execute the AVX-512F Gemm.
+bool CpuSupportsAvx512() {
+#if CUMULON_HAVE_X86_KERNELS
+  return CpuSupportsAvx2Fma() && __builtin_cpu_supports("avx512f");
 #else
   return false;
 #endif
@@ -85,6 +96,27 @@ KernelMode ResolveKernelMode(KernelMode requested) {
   return SimdKernelAvailable() ? KernelMode::kSimd : KernelMode::kScalar;
 }
 
+const char* SimdWidthName(SimdWidth width) {
+  return width == SimdWidth::kAvx512 ? "avx512" : "avx2";
+}
+
+bool CpuSupportsSimdWidth(SimdWidth width) {
+  static const bool avx2 = CpuSupportsAvx2Fma();
+  static const bool avx512 = CpuSupportsAvx512();
+  return width == SimdWidth::kAvx512 ? avx512 : avx2;
+}
+
+SimdWidth DispatchedSimdWidth() {
+  return CpuSupportsSimdWidth(SimdWidth::kAvx512) ? SimdWidth::kAvx512
+                                                  : SimdWidth::kAvx2;
+}
+
+const char* GemmKernelName(KernelMode requested) {
+  return ResolveKernelMode(requested) == KernelMode::kSimd
+             ? SimdWidthName(DispatchedSimdWidth())
+             : "scalar";
+}
+
 KernelConfig KernelConfig::FromCacheSizes(int64_t l1d_bytes,
                                           int64_t l2_bytes) {
   if (l1d_bytes <= 0) l1d_bytes = kFallbackL1d;
@@ -100,15 +132,18 @@ KernelConfig KernelConfig::FromCacheSizes(int64_t l1d_bytes,
   }
   cfg.cache_block = block;
 
-  // Packed kernel: a kc x kPackNr B panel (plus the streaming A panel)
-  // should stay within half of L1d...
-  cfg.pack_kc = std::clamp<int64_t>(l1d_bytes / (2 * kPackNr * 8), 64, 512);
-  // ...and the packed mc x kc A block within half of L2.
-  cfg.pack_mc = RoundDownToMultiple(
-      std::clamp<int64_t>(l2_bytes / (2 * cfg.pack_kc * 8), 4 * kPackMr, 1020),
-      kPackMr);
-  // B panel width: generous, capped so Bp stays a few MB at most.
-  cfg.pack_nc = 4096;
+  // Packed Gemm: a micro-kernel call's op(A) rows and B panel (kc x
+  // (Mr + Nr) doubles at the wider tile) should fit in three quarters of
+  // L1d, so the rows stay resident across the B panels they meet...
+  constexpr int64_t kTileDoubles =
+      kernel_internal::kAvx512Mr + kernel_internal::kAvx512Nr;
+  cfg.pack_kc =
+      std::clamp<int64_t>(3 * l1d_bytes / 4 / (kTileDoubles * 8), 64, 512);
+  // ...and the packed kc x nc block of B within half of L2.
+  cfg.pack_nc = std::max<int64_t>(
+      RoundDownToMultiple(l2_bytes / 2 / (cfg.pack_kc * 8),
+                          kernel_internal::kAvx512Nr),
+      kernel_internal::kAvx512Nr);
   return cfg;
 }
 

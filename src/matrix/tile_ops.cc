@@ -111,8 +111,11 @@ Status GemmWithMode(KernelMode mode, const Tile& a, const Tile& b,
                     double alpha, double beta, Tile* c, Orientation a_orient,
                     Orientation b_orient) {
   if (UseSimd(mode)) {
-    return kernel_internal::GemmPackedAvx2(a, b, alpha, beta, c, a_orient,
-                                           b_orient);
+    return DispatchedSimdWidth() == SimdWidth::kAvx512
+               ? kernel_internal::GemmPackedAvx512(a, b, alpha, beta, c,
+                                                   a_orient, b_orient)
+               : kernel_internal::GemmPackedAvx2(a, b, alpha, beta, c,
+                                                 a_orient, b_orient);
   }
   return GemmScalar(a, b, alpha, beta, c, a_orient, b_orient);
 }

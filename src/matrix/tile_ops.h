@@ -46,10 +46,11 @@ enum class Orientation { kAsStored, kTransposed };
 /// C = alpha * op(A) * op(B) + beta * C (dense GEMM), where op(X) is X or
 /// X^T per the operand's orientation.
 /// Shape requirements: op(A) is m x k, op(B) is k x n, C is m x n.
-/// Dispatches at runtime (KernelMode::kAuto): the packed AVX2+FMA kernel
-/// when the CPU supports it, the scalar oracle otherwise. Both accumulate
-/// each C element's k terms in ascending order; the SIMD path differs only
-/// by FMA's fused rounding. Orientation never changes the arithmetic, so
+/// Dispatches at runtime (KernelMode::kAuto): the packed SIMD kernel at the
+/// widest vector width the CPU supports (AVX-512F, else AVX2+FMA), the
+/// scalar oracle on CPUs without AVX2+FMA. All accumulate each C element's
+/// k terms in ascending order; the SIMD widths give the same bits and
+/// differ from the oracle only by FMA's fused rounding. Orientation never changes the arithmetic, so
 /// a transposed operand gives bits identical to TransposeTile + Gemm.
 Status Gemm(const Tile& a, const Tile& b, double alpha, double beta, Tile* c,
             Orientation a_orient = Orientation::kAsStored,

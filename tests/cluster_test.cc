@@ -304,6 +304,62 @@ TEST(RealEngineTest, AssignsMachinesRoundRobin) {
   }
 }
 
+/// Machines RealEngine placed each task of `job` on.
+std::vector<int> PlacedMachines(RealEngine* engine, const JobSpec& job) {
+  auto stats = engine->RunJob(job);
+  EXPECT_TRUE(stats.ok());
+  std::vector<int> machines;
+  if (stats.ok()) {
+    for (const TaskRunInfo& run : stats->task_runs) {
+      machines.push_back(run.machine);
+    }
+  }
+  return machines;
+}
+
+TEST(RealEngineTest, OverfilledPreferencesLeaveEveryMachineUnderTheCap) {
+  // The first half of the job prefers machine 0 and fills its share
+  // (ceil(tasks / machines)); the rest has no preference. Round-robin
+  // fallback would put every other one of them on machine 0 as well.
+  for (int machines : {2, 3}) {
+    for (int tasks : {8, 9, 16}) {
+      ClusterConfig c{TestMachine(), machines, 1};
+      RealEngine engine(c, RealEngineOptions{});
+      JobSpec job;
+      job.tasks.resize(tasks);
+      for (int i = 0; i < tasks / 2; ++i) job.tasks[i].preferred_machines = {0};
+      const int cap = (tasks + machines - 1) / machines;
+      std::vector<int> per_machine(machines, 0);
+      for (int m : PlacedMachines(&engine, job)) ++per_machine[m];
+      for (int m = 0; m < machines; ++m) {
+        EXPECT_LE(per_machine[m], cap)
+            << "machine " << m << " of " << machines << ", " << tasks
+            << " tasks";
+      }
+    }
+  }
+}
+
+TEST(RealEngineTest, PreferredTaskStaysLocalWhileItsMachineHasRoom) {
+  // Cap is 2 per machine: both tasks preferring machine 1 fit there, and
+  // the two without a preference fill machine 0.
+  ClusterConfig c{TestMachine(), 2, 1};
+  RealEngine engine(c, RealEngineOptions{});
+  JobSpec job;
+  job.tasks.resize(4);
+  job.tasks[0].preferred_machines = {1};
+  job.tasks[2].preferred_machines = {1};
+  auto stats = engine.RunJob(job);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->task_runs[0].machine, 1);
+  EXPECT_EQ(stats->task_runs[2].machine, 1);
+  EXPECT_TRUE(stats->task_runs[0].local);
+  EXPECT_TRUE(stats->task_runs[2].local);
+  EXPECT_EQ(stats->task_runs[1].machine, 0);
+  EXPECT_EQ(stats->task_runs[3].machine, 0);
+  EXPECT_EQ(stats->num_non_local_tasks, 0);
+}
+
 TEST(RealEngineTest, PropagatesFirstTaskError) {
   ClusterConfig c{TestMachine(), 1, 2};
   RealEngine engine(c, RealEngineOptions{});

@@ -1,8 +1,11 @@
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "cloud/machine.h"
 #include "cost/calibration.h"
 #include "cost/cost_model.h"
+#include "matrix/kernel_config.h"
 
 namespace cumulon {
 namespace {
@@ -43,6 +46,25 @@ TEST(CalibrationTest, MeasuresPositiveThroughputs) {
   EXPECT_GT(result->gemm_gflops, 0.0);
   EXPECT_GT(result->ew_gelems, 0.0);
   EXPECT_GT(result->transpose_gelems, 0.0);
+}
+
+TEST(CalibrationTest, RecordsTheGemmKernelDispatchRuns) {
+  // A stored calibration is reused only on the same kernel, and the two
+  // SIMD widths differ by about 2x, so the record names the width.
+  CalibrationOptions options;
+  options.tile_dim = 32;
+  options.repetitions = 1;
+  auto dispatched = Calibrate(options);
+  ASSERT_TRUE(dispatched.ok());
+  std::string expected = "scalar";
+  if (SimdKernelAvailable()) {
+    expected = CpuSupportsSimdWidth(SimdWidth::kAvx512) ? "avx512" : "avx2";
+  }
+  EXPECT_EQ(dispatched->kernel, expected);
+  options.kernel_mode = KernelMode::kScalar;
+  auto scalar = Calibrate(options);
+  ASSERT_TRUE(scalar.ok());
+  EXPECT_EQ(scalar->kernel, "scalar");
 }
 
 TEST(CalibrationTest, RejectsDegenerateOptions) {

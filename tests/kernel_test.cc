@@ -1,6 +1,8 @@
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -8,6 +10,7 @@
 
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
+#include "matrix/gemm_packed.h"
 #include "matrix/kernel_config.h"
 #include "matrix/tile.h"
 #include "matrix/tile_ops.h"
@@ -129,11 +132,11 @@ TEST(KernelConfigTest, FromCacheSizesDerivesSaneBlocking) {
     EXPECT_LE(cfg.cache_block, 256);
     EXPECT_EQ(cfg.cache_block & (cfg.cache_block - 1), 0)
         << "cache_block must be a power of two";
-    EXPECT_EQ(cfg.pack_mc % kPackMr, 0);
-    EXPECT_EQ(cfg.pack_nc % kPackNr, 0);
+    EXPECT_EQ(cfg.pack_nc % kernel_internal::kAvx512Nr, 0)
+        << "pack_nc must hold whole register tiles of either width";
+    EXPECT_GE(cfg.pack_nc, kernel_internal::kAvx512Nr);
     EXPECT_GE(cfg.pack_kc, 64);
     EXPECT_LE(cfg.pack_kc, 512);
-    EXPECT_GE(cfg.pack_mc, 4 * kPackMr);
   }
 }
 
@@ -145,13 +148,22 @@ struct GemmShape {
   int64_t m, k, n;
 };
 
-/// Edge shapes: micro-kernel tails on every side (m % 6, n % 8, lone
-/// rows/cols), degenerate dims of 1, k crossing the pack_kc boundary, and
-/// blocked interior shapes.
+/// Edge shapes: register-tile edges of both widths on every side (m % 6,
+/// m % 8, n % 8, n % 16, lone rows/cols), degenerate dims of 1, k crossing
+/// the pack_kc boundary, and blocked interior shapes.
 const GemmShape kEdgeShapes[] = {
-    {1, 1, 1},   {1, 7, 5},    {6, 8, 8},    {7, 9, 13},     {13, 1, 6},
-    {5, 300, 9}, {65, 130, 47}, {128, 128, 128}, {100, 700, 3}, {6, 6, 8},
-    {12, 16, 16}, {1, 513, 1},
+    {1, 1, 1},    {1, 7, 5},     {6, 8, 8},       {7, 9, 13},
+    {13, 1, 6},   {5, 300, 9},   {65, 130, 47},   {128, 128, 128},
+    {100, 700, 3}, {6, 6, 8},    {12, 16, 16},    {1, 513, 1},
+    {9, 17, 17},  {15, 300, 31}, {8, 1, 16},
+};
+
+/// The products the benchmark's real workloads run, as m x k x n of
+/// op(A) * op(B): rsvd-io's X*V and X^T*U (512x512 * 512x64), gnmf-io's
+/// W^T*V (32x256 * 256x256) and V*H^T (256x256 * 256x32). The width tests
+/// run them in every orientation pair.
+const GemmShape kWorkloadShapes[] = {
+    {512, 512, 64}, {32, 256, 256}, {256, 256, 32},
 };
 
 TEST(GemmKernelTest, SimdMatchesOracleOnEdgeShapes) {
@@ -256,21 +268,33 @@ Tile StoredAs(const Tile& logical, Orientation orient) {
   return stored;
 }
 
+/// A blocking small enough that the packed kernel packs B in several kc
+/// blocks (k > 16) and several nc blocks (n > 32) and the scalar oracle
+/// runs several cache blocks.
+KernelConfig TinyConfig(const KernelConfig& base) {
+  KernelConfig tiny = base;
+  tiny.pack_nc = 2 * kernel_internal::kAvx512Nr;
+  tiny.pack_kc = 16;
+  tiny.cache_block = 16;
+  return tiny;
+}
+
+const Orientation kOrients[] = {Orientation::kAsStored,
+                                Orientation::kTransposed};
+
+std::string OrientLabel(Orientation ao, Orientation bo) {
+  return std::string(" A") + (ao == Orientation::kTransposed ? "^T" : "") +
+         " B" + (bo == Orientation::kTransposed ? "^T" : "");
+}
+
 TEST(GemmOrientationTest, InPlaceTransposesMatchTransposedCopies) {
   // Every orientation pair, both kernels, every edge shape, alpha/beta
   // including beta = 0 over a NaN-poisoned C, and two blockings (the
-  // default and one small enough that the packed kernel packs transposed
-  // sources across several mc/nc/kc blocks). The reference multiplies the
-  // TransposeTile copies as stored; the in-place result must match it bit
-  // for bit.
+  // default and one small enough that the packed kernel packs B across
+  // several kc and nc blocks). The reference multiplies the TransposeTile
+  // copies as stored; the in-place result must match it bit for bit.
   const KernelConfig saved = GetKernelConfig();
-  KernelConfig tiny = saved;
-  tiny.pack_mc = 2 * kPackMr;
-  tiny.pack_nc = 2 * kPackNr;
-  tiny.pack_kc = 16;
-  tiny.cache_block = 16;
-  const Orientation kOrients[] = {Orientation::kAsStored,
-                                  Orientation::kTransposed};
+  const KernelConfig tiny = TinyConfig(saved);
   Rng rng(41);
   for (const KernelConfig& cfg : {saved, tiny}) {
     SetKernelConfig(cfg);
@@ -328,6 +352,176 @@ TEST(GemmOrientationTest, TransposedShapeMismatchIsRejected) {
                   .code(),
               StatusCode::kInvalidArgument);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Gemm vector widths: each instantiation called directly
+// ---------------------------------------------------------------------------
+
+using GemmFn = Status (*)(const Tile&, const Tile&, double, double, Tile*,
+                          Orientation, Orientation);
+
+GemmFn WidthKernel(SimdWidth width) {
+  return width == SimdWidth::kAvx512 ? kernel_internal::GemmPackedAvx512
+                                     : kernel_internal::GemmPackedAvx2;
+}
+
+std::string MissingFeature(SimdWidth width) {
+  return width == SimdWidth::kAvx512 ? "avx512f" : "avx2+fma";
+}
+
+/// One multiply case: random op(A), op(B) and C, stored per orientation.
+struct GemmCase {
+  Tile a_stored, b_stored, c0;
+  Orientation ao, bo;
+  double alpha, beta;
+};
+
+/// Runs `body` on every shape in kEdgeShapes and kWorkloadShapes, every
+/// orientation pair, alpha in {1, 0.5} and beta in {0, 1, 2}; C is
+/// NaN-poisoned when beta = 0.
+template <typename Body>
+void ForEachGemmCase(uint64_t seed, Body body) {
+  std::vector<GemmShape> shapes(std::begin(kEdgeShapes),
+                                std::end(kEdgeShapes));
+  shapes.insert(shapes.end(), std::begin(kWorkloadShapes),
+                std::end(kWorkloadShapes));
+  Rng rng(seed);
+  for (const GemmShape& s : shapes) {
+    for (Orientation ao : kOrients) {
+      for (Orientation bo : kOrients) {
+        for (double alpha : {1.0, 0.5}) {
+          for (double beta : {0.0, 1.0, 2.0}) {
+            GemmCase gc{StoredAs(RandomTile(s.m, s.k, &rng), ao),
+                        StoredAs(RandomTile(s.k, s.n, &rng), bo),
+                        RandomTile(s.m, s.n, &rng),
+                        ao,
+                        bo,
+                        alpha,
+                        beta};
+            if (beta == 0.0) {
+              FillTile(&gc.c0, std::numeric_limits<double>::quiet_NaN());
+            }
+            SCOPED_TRACE(::testing::Message()
+                         << s.m << "x" << s.k << "x" << s.n
+                         << OrientLabel(ao, bo) << " alpha=" << alpha
+                         << " beta=" << beta);
+            body(gc);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Each width, called through kernel_internal: skipped with the reason on a
+/// CPU without the width's instructions.
+class GemmWidthTest : public ::testing::TestWithParam<SimdWidth> {
+ protected:
+  void SetUp() override {
+    if (!CpuSupportsSimdWidth(GetParam())) {
+      GTEST_SKIP() << "CPU lacks " << MissingFeature(GetParam()) << ": the "
+                   << SimdWidthName(GetParam()) << " Gemm cannot run here";
+    }
+  }
+
+  Tile Multiply(const GemmCase& gc) const {
+    Tile c = gc.c0;
+    const Status st = WidthKernel(GetParam())(
+        gc.a_stored, gc.b_stored, gc.alpha, gc.beta, &c, gc.ao, gc.bo);
+    EXPECT_TRUE(st.ok()) << st;
+    return c;
+  }
+};
+
+TEST_P(GemmWidthTest, MatchesOracleWithinFmaTolerance) {
+  ForEachGemmCase(51, [&](const GemmCase& gc) {
+    Tile expected = gc.c0;
+    ASSERT_TRUE(GemmScalar(gc.a_stored, gc.b_stored, gc.alpha, gc.beta,
+                           &expected, gc.ao, gc.bo)
+                    .ok());
+    const Tile got = Multiply(gc);
+    EXPECT_LE(MaxRelDiff(expected, got), kFmaRelTol);
+    // MaxRelDiff skips NaNs. The inputs have none, so any NaN in the
+    // result is the poisoned C leaking through a beta = 0 multiply.
+    for (int64_t i = 0; i < got.rows() * got.cols(); ++i) {
+      ASSERT_FALSE(std::isnan(got.data()[i])) << "element " << i;
+    }
+  });
+}
+
+TEST_P(GemmWidthTest, InPlaceTransposesMatchTransposedCopies) {
+  // Both blockings: the default and one that packs B in several kc and nc
+  // blocks. The reference multiplies as-stored copies of op(A) and op(B).
+  const KernelConfig saved = GetKernelConfig();
+  for (const KernelConfig& cfg : {saved, TinyConfig(saved)}) {
+    SetKernelConfig(cfg);
+    ForEachGemmCase(53, [&](const GemmCase& gc) {
+      GemmCase copies = gc;
+      if (gc.ao == Orientation::kTransposed) {
+        copies.a_stored = Tile(gc.a_stored.cols(), gc.a_stored.rows());
+        ASSERT_TRUE(TransposeTile(gc.a_stored, &copies.a_stored).ok());
+        copies.ao = Orientation::kAsStored;
+      }
+      if (gc.bo == Orientation::kTransposed) {
+        copies.b_stored = Tile(gc.b_stored.cols(), gc.b_stored.rows());
+        ASSERT_TRUE(TransposeTile(gc.b_stored, &copies.b_stored).ok());
+        copies.bo = Orientation::kAsStored;
+      }
+      ExpectBitIdentical(Multiply(copies), Multiply(gc));
+    });
+  }
+  SetKernelConfig(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, GemmWidthTest,
+                         ::testing::Values(SimdWidth::kAvx2,
+                                           SimdWidth::kAvx512),
+                         [](const ::testing::TestParamInfo<SimdWidth>& info) {
+                           return std::string(SimdWidthName(info.param));
+                         });
+
+TEST(GemmWidthAgreementTest, WidthsAndBlockingsAgreeBitForBit) {
+  // Every C element is its beta-scaled value followed by its k terms as
+  // ascending FMAs at either width and any blocking, so AVX2 and AVX-512,
+  // under the default and the tiny blocking, give the same bits.
+  for (SimdWidth width : {SimdWidth::kAvx2, SimdWidth::kAvx512}) {
+    if (!CpuSupportsSimdWidth(width)) {
+      GTEST_SKIP() << "CPU lacks " << MissingFeature(width)
+                   << ": only one Gemm width can run here";
+    }
+  }
+  const KernelConfig saved = GetKernelConfig();
+  const KernelConfig tiny = TinyConfig(saved);
+  ForEachGemmCase(57, [&](const GemmCase& gc) {
+    std::vector<Tile> results;
+    for (const KernelConfig& cfg : {saved, tiny}) {
+      SetKernelConfig(cfg);
+      for (SimdWidth width : {SimdWidth::kAvx2, SimdWidth::kAvx512}) {
+        Tile c = gc.c0;
+        ASSERT_TRUE(WidthKernel(width)(gc.a_stored, gc.b_stored, gc.alpha,
+                                       gc.beta, &c, gc.ao, gc.bo)
+                        .ok());
+        results.push_back(std::move(c));
+      }
+    }
+    for (size_t i = 1; i < results.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "result " << i
+                                        << " (avx2/avx512 x default/tiny)");
+      ExpectBitIdentical(results[0], results[i]);
+    }
+  });
+  SetKernelConfig(saved);
+}
+
+TEST(GemmWidthAgreementTest, DispatchRunsTheWidestSupportedWidth) {
+  EXPECT_EQ(DispatchedSimdWidth(),
+            CpuSupportsSimdWidth(SimdWidth::kAvx512) ? SimdWidth::kAvx512
+                                                     : SimdWidth::kAvx2);
+  EXPECT_STREQ(GemmKernelName(KernelMode::kScalar), "scalar");
+  EXPECT_STREQ(GemmKernelName(KernelMode::kAuto),
+               SimdKernelAvailable() ? SimdWidthName(DispatchedSimdWidth())
+                                     : "scalar");
 }
 
 // ---------------------------------------------------------------------------

@@ -149,6 +149,7 @@ int RunCalibrate() {
     return 1;
   }
   std::printf("single-point probe:\n");
+  std::printf("  kernel     %s\n", quick->kernel.c_str());
   std::printf("  gemm       %8.2f GFLOP/s\n", quick->gemm_gflops);
   std::printf("  elementwise%8.2f Gelem/s\n", quick->ew_gelems);
   std::printf("  transpose  %8.2f Gelem/s\n", quick->transpose_gelems);
