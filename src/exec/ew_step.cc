@@ -11,9 +11,11 @@ std::string EwStep::ToString() const {
   const char* suffix = operand == Operand::kRowVector   ? "[row]"
                        : operand == Operand::kColVector ? "[col]"
                                                         : "";
-  return swapped
-             ? StrCat(BinaryOpName(bop), "(", other_matrix, ", v)", suffix)
-             : StrCat(BinaryOpName(bop), "(v, ", other_matrix, ")", suffix);
+  const std::string other = operand == Operand::kProduct
+                                ? StrCat(other_matrix, "*", right_factor)
+                                : other_matrix;
+  return swapped ? StrCat(BinaryOpName(bop), "(", other, ", v)", suffix)
+                 : StrCat(BinaryOpName(bop), "(v, ", other, ")", suffix);
 }
 
 Status ApplyEwStep(const EwStep& step, Tile* value, const Tile* other,
@@ -27,6 +29,7 @@ Status ApplyEwStep(const EwStep& step, Tile* value, const Tile* other,
   }
   switch (step.operand) {
     case EwStep::Operand::kFull:
+    case EwStep::Operand::kProduct:
       return step.swapped
                  ? EwBinaryWithMode(mode, step.bop, *other, *value, value)
                  : EwBinaryWithMode(mode, step.bop, *value, *other, value);

@@ -36,56 +36,70 @@ std::vector<std::vector<TileId>> GroupTiles(const TileLayout& layout,
   return groups;
 }
 
-/// Grid position of a binary step's operand tile for output tile `id`:
-/// full operands align 1:1; broadcast vectors collapse one axis.
-TileId OperandTileId(const EwStep& step, TileId id) {
-  switch (step.operand) {
-    case EwStep::Operand::kFull:
-      return id;
-    case EwStep::Operand::kRowVector:
-      return TileId{0, id.col};
-    case EwStep::Operand::kColVector:
-      return TileId{id.row, 0};
-  }
-  return id;
-}
+/// One operand tile the steps of an output tile read, with its serialized
+/// size.
+struct StepRead {
+  std::string matrix;
+  TileId id;
+  int64_t bytes = 0;
+};
 
-/// CPU seconds and operand bytes of applying `steps` to one tile of
-/// `layout` at grid position (gr, gc).
-void AddEwStepsCost(const std::vector<EwStep>& steps, const TileLayout& layout,
-                    int64_t gr, int64_t gc, const TileOpCostModel& cost,
-                    TaskCost* task_cost) {
-  const int64_t elems = layout.TileRowsAt(gr) * layout.TileColsAt(gc);
+/// The operand tiles `steps` read for output tile `id` of `layout`, in
+/// read order and each once: full operands align 1:1, broadcast vectors
+/// collapse one axis, and a product step reads its factors L(i,0) and
+/// R(0,j). A tile two steps read is listed once, because the task's memo
+/// serves the second read (GNMF's W_i is a product factor and the next
+/// step's operand).
+std::vector<StepRead> StepReads(const std::vector<EwStep>& steps,
+                                const TileLayout& layout, TileId id) {
+  const int64_t rows = layout.TileRowsAt(id.row);
+  const int64_t cols = layout.TileColsAt(id.col);
+  std::vector<StepRead> reads;
+  auto add = [&reads](const std::string& matrix, TileId tile, int64_t bytes) {
+    for (const StepRead& read : reads) {
+      if (read.id == tile && read.matrix == matrix) return;
+    }
+    reads.push_back(StepRead{matrix, tile, bytes});
+  };
   for (const EwStep& step : steps) {
-    task_cost->cpu_seconds_ref += cost.EwSeconds(elems);
     if (step.kind != EwStep::Kind::kBinary) continue;
     switch (step.operand) {
       case EwStep::Operand::kFull:
-        task_cost->bytes_read += TileBytes(layout, gr, gc);
+        add(step.other_matrix, id, 16 + rows * cols * 8);
         break;
       case EwStep::Operand::kRowVector:
-        task_cost->bytes_read += 16 + layout.TileColsAt(gc) * 8;
+        add(step.other_matrix, TileId{0, id.col}, 16 + cols * 8);
         break;
       case EwStep::Operand::kColVector:
-        task_cost->bytes_read += 16 + layout.TileRowsAt(gr) * 8;
+        add(step.other_matrix, TileId{id.row, 0}, 16 + rows * 8);
+        break;
+      case EwStep::Operand::kProduct:
+        add(step.other_matrix, TileId{id.row, 0}, 16 + rows * step.inner * 8);
+        add(step.right_factor, TileId{0, id.col}, 16 + step.inner * cols * 8);
         break;
     }
   }
+  return reads;
 }
 
-/// Serialized size of a binary step's operand tile for output grid
-/// position (same shapes AddEwStepsCost charges).
-int64_t EwOperandBytes(const EwStep& step, const TileLayout& layout,
-                       int64_t gr, int64_t gc) {
-  switch (step.operand) {
-    case EwStep::Operand::kFull:
-      return TileBytes(layout, gr, gc);
-    case EwStep::Operand::kRowVector:
-      return 16 + layout.TileColsAt(gc) * 8;
-    case EwStep::Operand::kColVector:
-      return 16 + layout.TileRowsAt(gr) * 8;
+/// CPU seconds and operand bytes of applying `steps` to one tile of
+/// `layout` at grid position (gr, gc); a product step also charges the
+/// multiply of its factor tiles.
+void AddEwStepsCost(const std::vector<EwStep>& steps, const TileLayout& layout,
+                    int64_t gr, int64_t gc, const TileOpCostModel& cost,
+                    TaskCost* task_cost) {
+  const int64_t rows = layout.TileRowsAt(gr);
+  const int64_t cols = layout.TileColsAt(gc);
+  for (const EwStep& step : steps) {
+    task_cost->cpu_seconds_ref += cost.EwSeconds(rows * cols);
+    if (step.kind == EwStep::Kind::kBinary &&
+        step.operand == EwStep::Operand::kProduct) {
+      task_cost->cpu_seconds_ref += cost.GemmSeconds(rows, cols, step.inner);
+    }
   }
-  return 0;
+  for (const StepRead& read : StepReads(steps, layout, TileId{gr, gc})) {
+    task_cost->bytes_read += read.bytes;
+  }
 }
 
 /// Declares the operand reads RunEwSteps will issue for output tile `id`
@@ -93,11 +107,29 @@ int64_t EwOperandBytes(const EwStep& step, const TileLayout& layout,
 void HintEwStepOperands(const std::vector<EwStep>& steps,
                         const TileLayout& layout, TileId id,
                         TaskTileReader* reader) {
-  for (const EwStep& step : steps) {
-    if (step.kind != EwStep::Kind::kBinary) continue;
-    reader->Hint(step.other_matrix, OperandTileId(step, id),
-                 EwOperandBytes(step, layout, id.row, id.col));
+  for (const StepRead& read : StepReads(steps, layout, id)) {
+    reader->Hint(read.matrix, read.id, read.bytes);
   }
+}
+
+/// Applies product step `step` to `value` (grid position `id`): multiplies
+/// the factor tiles L(i,0) and R(0,j) into a zeroed tile with the Gemm
+/// MatMulJob runs for a one-tile k, so the step sees the bits a
+/// materialized L * R would hold. The product tile is task scratch.
+Status ApplyProductStep(const EwStep& step, TaskTileReader* reader, TileId id,
+                        Tile* value, KernelMode mode) {
+  Tile product(value->rows(), value->cols());
+  const TaskTileReader::ScratchReservation scratch =
+      reader->PinScratch(product.MemoryBytes());
+  CUMULON_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Tile> left,
+      reader->ReadMemoized(step.other_matrix, TileId{id.row, 0}));
+  CUMULON_ASSIGN_OR_RETURN(
+      std::shared_ptr<const Tile> right,
+      reader->ReadMemoized(step.right_factor, TileId{0, id.col}));
+  CUMULON_RETURN_IF_ERROR(
+      GemmWithMode(mode, *left, *right, 1.0, 1.0, &product));
+  return ApplyEwStep(step, value, &product, mode);
 }
 
 /// Runs `steps` on `value` (grid position `id`), fetching binary operands
@@ -107,13 +139,21 @@ void HintEwStepOperands(const std::vector<EwStep>& steps,
 Status RunEwSteps(const std::vector<EwStep>& steps, TaskTileReader* reader,
                   TileId id, Tile* value, KernelMode mode) {
   for (const EwStep& step : steps) {
-    std::shared_ptr<const Tile> other;
-    if (step.kind == EwStep::Kind::kBinary) {
+    if (step.kind == EwStep::Kind::kUnary) {
+      CUMULON_RETURN_IF_ERROR(ApplyEwStep(step, value, nullptr, mode));
+    } else if (step.operand == EwStep::Operand::kProduct) {
+      CUMULON_RETURN_IF_ERROR(
+          ApplyProductStep(step, reader, id, value, mode));
+    } else {
+      const TileId other_id =
+          step.operand == EwStep::Operand::kRowVector   ? TileId{0, id.col}
+          : step.operand == EwStep::Operand::kColVector ? TileId{id.row, 0}
+                                                        : id;
       CUMULON_ASSIGN_OR_RETURN(
-          other,
-          reader->ReadMemoized(step.other_matrix, OperandTileId(step, id)));
+          std::shared_ptr<const Tile> other,
+          reader->ReadMemoized(step.other_matrix, other_id));
+      CUMULON_RETURN_IF_ERROR(ApplyEwStep(step, value, other.get(), mode));
     }
-    CUMULON_RETURN_IF_ERROR(ApplyEwStep(step, value, other.get(), mode));
   }
   return Status::OK();
 }
@@ -128,11 +168,15 @@ void MergePreferred(std::vector<int>* dst, const std::vector<int>& src,
   }
 }
 
+/// Appends the matrices `steps` read: each binary step's operand, and both
+/// factors of a product step.
 void AppendStepOperands(const std::vector<EwStep>& steps,
                         std::vector<std::string>* matrices) {
   for (const EwStep& step : steps) {
-    if (step.kind == EwStep::Kind::kBinary) {
-      matrices->push_back(step.other_matrix);
+    if (step.kind != EwStep::Kind::kBinary) continue;
+    matrices->push_back(step.other_matrix);
+    if (step.operand == EwStep::Operand::kProduct) {
+      matrices->push_back(step.right_factor);
     }
   }
 }

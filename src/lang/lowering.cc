@@ -292,6 +292,14 @@ class Lowerer {
                              LowerMultiplyOperand(mm->left()));
     CUMULON_ASSIGN_OR_RETURN(MatMulOperand b,
                              LowerMultiplyOperand(mm->right()));
+    return AddMultiply(a, b, std::move(epilogue), out_name);
+  }
+
+  /// Emits the multiply job out_name = a * b with `epilogue`.
+  Result<TiledMatrix> AddMultiply(const MatMulOperand& a,
+                                  const MatMulOperand& b,
+                                  std::vector<EwStep> epilogue,
+                                  const std::string& out_name) {
     const TileLayout la = a.layout();
     const TileLayout lb = b.layout();
     if (!InnerAligned(la, lb)) {
@@ -363,13 +371,61 @@ class Lowerer {
     steps.reserve(raw.size());
     for (const RawStep& rs : raw) {
       steps.push_back(rs.step);
-      if (rs.other != nullptr) {
-        CUMULON_ASSIGN_OR_RETURN(TiledMatrix other, LowerValue(rs.other));
-        steps.back().other_matrix = other.name;
-        operands->emplace_back(std::move(other), rs.step.operand);
-      }
+      if (rs.other == nullptr) continue;
+      CUMULON_ASSIGN_OR_RETURN(
+          bool lowered, LowerProductOperand(rs.other, &steps.back(), operands));
+      if (lowered) continue;
+      CUMULON_ASSIGN_OR_RETURN(TiledMatrix other, LowerValue(rs.other));
+      steps.back().other_matrix = other.name;
+      operands->emplace_back(std::move(other), rs.step.operand);
     }
     return steps;
+  }
+
+  /// Lowers a full-shaped step operand P = L * R whose inner dimension
+  /// lies within one tile as a product step: the consumer's task reads
+  /// L(i,0) and R(0,j) and multiplies them itself, so P is never a job.
+  /// Applies under fusion when neither factor is a transpose, P is not in
+  /// the CSE table, L and R meet on one tile, and the inner dimension is no
+  /// larger than P's first tile's rows and columns (neither factor tile
+  /// outgrows the P tile it replaces); P stays out of the CSE table.
+  /// Returns false, with nothing lowered, when the first conditions fail.
+  /// The grid conditions need L and R lowered; when they fail, P is
+  /// materialized from those factors as a job of its own.
+  Result<bool> LowerProductOperand(const ExprPtr& expr, EwStep* step,
+                                   std::vector<StepOperand>* operands) {
+    if (!options_.enable_fusion || expr->kind() != ExprKind::kMatMul ||
+        step->operand != EwStep::Operand::kFull ||
+        expr->left()->kind() == ExprKind::kTranspose ||
+        expr->right()->kind() == ExprKind::kTranspose) {
+      return false;
+    }
+    std::string key;
+    if (options_.enable_cse) {
+      CUMULON_ASSIGN_OR_RETURN(key, ExprKey(expr));
+      if (cse_.count(key) > 0) return false;
+    }
+    CUMULON_ASSIGN_OR_RETURN(TiledMatrix l, LowerValue(expr->left()));
+    CUMULON_ASSIGN_OR_RETURN(TiledMatrix r, LowerValue(expr->right()));
+    const TileLayout product(l.layout.rows(), r.layout.cols(),
+                             l.layout.tile_rows(), r.layout.tile_cols());
+    const int64_t inner = l.layout.cols();
+    if (l.layout.grid_cols() == 1 && r.layout.grid_rows() == 1 &&
+        inner <= product.TileRowsAt(0) && inner <= product.TileColsAt(0)) {
+      *step = EwStep::Product(step->bop, l.name, r.name, inner,
+                              step->swapped);
+      operands->emplace_back(
+          TiledMatrix{StrCat(l.name, "*", r.name), product},
+          EwStep::Operand::kProduct);
+      return true;
+    }
+    CUMULON_ASSIGN_OR_RETURN(TiledMatrix p,
+                             AddMultiply(l, r, {}, FreshTempName()));
+    plan_.temporaries.push_back(p.name);
+    if (options_.enable_cse) cse_.insert_or_assign(key, p);
+    step->other_matrix = p.name;
+    operands->emplace_back(std::move(p), EwStep::Operand::kFull);
+    return true;
   }
 
   /// Lowers an expression whose root is element-wise: peels the chain of
@@ -406,6 +462,7 @@ class Lowerer {
       TileLayout expected = out_layout;
       switch (operand) {
         case EwStep::Operand::kFull:
+        case EwStep::Operand::kProduct:
           break;
         case EwStep::Operand::kRowVector:
           expected = TileLayout(1, out_layout.cols(), 1,

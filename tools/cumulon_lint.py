@@ -35,6 +35,11 @@ Checks (all run by default; exit code 0 = clean):
    entry-point pairs; losing one silently un-guards that edge, so the
    linter greps for the call.
 
+5. Experiment contract (DESIGN.md -> EXPERIMENTS.md): every ID in
+   DESIGN.md's "## Experiment index" table must have a "## <ID> —" section
+   in EXPERIMENTS.md, so deleting an experiment's results fails tier-1
+   instead of leaving the index pointing at nothing.
+
 Usage:
   tools/cumulon_lint.py [--root REPO_ROOT]
   tools/cumulon_lint.py --self-test
@@ -72,6 +77,12 @@ VERIFY_EDGE_CONTRACT = (
     ('opt/search.cc', 'VerifyMatMulSplit'),
     ('opt/job_tuner.cc', 'VerifyMatMulSplit'),
 )
+
+# DESIGN.md's experiment index rows ("| E2 | ...") and EXPERIMENTS.md's
+# section headings ("## E2 — ...").
+EXPERIMENT_INDEX_HEADING = '## Experiment index'
+EXPERIMENT_ROW_RE = re.compile(r'^\|\s*([EA]\d+[a-z]?)\s*\|')
+EXPERIMENT_SECTION_RE = re.compile(r'^## ([EA]\d+[a-z]?) —')
 
 BANNED_SYNC_RE = re.compile(
     r'std::(mutex|condition_variable|condition_variable_any|lock_guard|'
@@ -246,6 +257,29 @@ def parse_doc_contract(doc_path):
     return doc_names, doc_rows, categories
 
 
+def experiment_index_ids(design_path):
+    """Returns [(experiment ID, lineno)] from DESIGN.md's index table."""
+    ids = []
+    in_index = False
+    with open(design_path, encoding='utf-8') as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.startswith('## '):
+                in_index = line.strip() == EXPERIMENT_INDEX_HEADING
+                continue
+            m = EXPERIMENT_ROW_RE.match(line) if in_index else None
+            if m:
+                ids.append((m.group(1), lineno))
+    return ids
+
+
+def experiment_sections(experiments_path):
+    """Returns the set of experiment IDs EXPERIMENTS.md has sections for."""
+    if not os.path.exists(experiments_path):
+        return set()
+    with open(experiments_path, encoding='utf-8') as f:
+        return {m.group(1) for m in map(EXPERIMENT_SECTION_RE.match, f) if m}
+
+
 def doc_pattern_to_regex(name):
     """Doc-row name -> regex. `<...>` and `*` are one-or-more wildcards."""
     out = []
@@ -283,6 +317,17 @@ def lint(root, edge_contract=VERIFY_EDGE_CONTRACT):
                 f'src/{rel}: guarded pipeline edge no longer calls '
                 f'{symbol}() (verifier-edge contract; see DESIGN.md '
                 f'"Plan verification")')
+
+    # Experiment contract: each indexed experiment has its results section.
+    design_path = os.path.join(root, 'DESIGN.md')
+    if os.path.exists(design_path):
+        sections = experiment_sections(os.path.join(root, 'EXPERIMENTS.md'))
+        for exp_id, lineno in experiment_index_ids(design_path):
+            if exp_id not in sections:
+                errors.append(
+                    f'DESIGN.md:{lineno}: experiment {exp_id} is in the '
+                    f'experiment index but EXPERIMENTS.md has no '
+                    f'"## {exp_id} —" section')
 
     if not os.path.exists(doc_path):
         errors.append(f'{doc_path}: missing metric contract doc')
@@ -385,22 +430,41 @@ void F(MetricsRegistry* m, Tracer* t) {
 """
 
 
-def write_tree(tmp, doc, src):
+SELF_TEST_DESIGN = """# Design
+## Experiment index
+| ID | Claim |
+|---|---|
+| E1 | multiply |
+| A1 | fusion |
+## Design choices
+| E9 | not in the index |
+"""
+
+SELF_TEST_EXPERIMENTS = """# Experiments
+## E1 — multiply (`bench_e1`)
+## A1 — fusion (`bench_a1`)
+"""
+
+
+def write_tree(tmp, doc, src, root_files=None):
     os.makedirs(os.path.join(tmp, 'src', 'x'))
     os.makedirs(os.path.join(tmp, 'docs'))
     with open(os.path.join(tmp, 'docs', 'observability.md'), 'w') as f:
         f.write(doc)
     with open(os.path.join(tmp, 'src', 'x', 'x.cc'), 'w') as f:
         f.write(src)
+    for name, text in (root_files or {}).items():
+        with open(os.path.join(tmp, name), 'w', encoding='utf-8') as f:
+            f.write(text)
 
 
 def self_test():
     failures = []
 
     def expect(label, doc, src, want_clean, want_substring=None,
-               edge_contract=()):
+               edge_contract=(), root_files=None):
         with tempfile.TemporaryDirectory() as tmp:
-            write_tree(tmp, doc, src)
+            write_tree(tmp, doc, src, root_files)
             import io
             import contextlib
             buf = io.StringIO()
@@ -513,6 +577,21 @@ def self_test():
     expect('verifier edge file missing', SELF_TEST_DOC, SELF_TEST_SRC,
            want_clean=False, want_substring='file missing',
            edge_contract=(('gone/gone.cc', 'VerifyPlanStatus'),))
+
+    # --- experiment contract ------------------------------------------------
+    expect('every indexed experiment has a section', SELF_TEST_DOC,
+           SELF_TEST_SRC, want_clean=True,
+           root_files={'DESIGN.md': SELF_TEST_DESIGN,
+                       'EXPERIMENTS.md': SELF_TEST_EXPERIMENTS})
+    expect('indexed experiment lost its section', SELF_TEST_DOC,
+           SELF_TEST_SRC, want_clean=False,
+           want_substring='experiment A1 is in the experiment index',
+           root_files={'DESIGN.md': SELF_TEST_DESIGN,
+                       'EXPERIMENTS.md': SELF_TEST_EXPERIMENTS.replace(
+                           '## A1 — fusion', '## A1 fusion')})
+    expect('EXPERIMENTS.md missing', SELF_TEST_DOC, SELF_TEST_SRC,
+           want_clean=False, want_substring='experiment E1 is in',
+           root_files={'DESIGN.md': SELF_TEST_DESIGN})
 
     if failures:
         for f in failures:
