@@ -2,7 +2,9 @@
 // per-tile kernel throughput feeding the cost-model calibration. The hot
 // kernels run once per dispatch mode (scalar register-blocked oracle vs
 // the packed SIMD kernels, Gemm at the dispatched vector width, DESIGN.md
-// "Kernel architecture") so the SIMD speedup is visible in one run. JSON output via the library's own
+// "Kernel architecture") so the SIMD speedup is visible in one run. The
+// GenerateMatrix rows time input generation, which every real-engine run
+// pays in its set-up. JSON output via the library's own
 // `--benchmark_format=json` / `--benchmark_out=FILE`.
 
 #include <benchmark/benchmark.h>
@@ -11,6 +13,8 @@
 #include "matrix/kernel_config.h"
 #include "matrix/tile.h"
 #include "matrix/tile_ops.h"
+#include "matrix/tile_store.h"
+#include "matrix/tiled_matrix.h"
 
 namespace cumulon {
 namespace {
@@ -99,6 +103,34 @@ void BM_TileAccumulate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TileAccumulate)->Arg(256)->Arg(512);
+
+/// One GenerateMatrix of `rows` x `cols` at `tile` into an in-memory store,
+/// timed on the wall clock because a Gaussian fill runs on several threads.
+/// Freeing the previous iteration's tiles is not timed.
+void BM_GenerateMatrix(benchmark::State& state, FillKind kind, int64_t rows,
+                       int64_t cols, int64_t tile) {
+  const TiledMatrix m{"m", TileLayout::Square(rows, cols, tile)};
+  Rng rng(6);
+  InMemoryTileStore store;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(GenerateMatrix(m, kind, 0.0, &rng, &store).ok());
+    state.PauseTiming();
+    benchmark::DoNotOptimize(store.DeleteMatrix(m.name).ok());
+    state.ResumeTiming();
+  }
+  state.counters["Melem/s"] = benchmark::Counter(
+      static_cast<double>(rows) * cols * state.iterations() / 1e6,
+      benchmark::Counter::kIsRate);
+}
+// rsvd-io's A (Gaussian) and gnmf-io's V (uniform), the bench/suite inputs.
+BENCHMARK_CAPTURE(BM_GenerateMatrix, gaussian_4096x4096_t512,
+                  FillKind::kGaussian, 4096, 4096, 512)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_GenerateMatrix, uniform_4096x2048_t256,
+                  FillKind::kUniform, 4096, 2048, 256)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace cumulon

@@ -16,6 +16,14 @@ uint64_t SplitMix64(uint64_t* state) {
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+// One Box–Muller pair in place: (u1, u2) -> (r cos θ, r sin θ).
+void BoxMullerPair(double* pair) {
+  const double r = std::sqrt(-2.0 * std::log(pair[0]));
+  const double theta = 2.0 * M_PI * pair[1];
+  pair[0] = r * std::cos(theta);
+  pair[1] = r * std::sin(theta);
+}
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -63,18 +71,39 @@ double Rng::NextDouble(double lo, double hi) {
 }
 
 double Rng::NextGaussian() {
+  double value = 0.0;
+  DrawGaussianUniforms(&value, 1);
+  return value;
+}
+
+int64_t Rng::DrawGaussianUniforms(double* out, int64_t n) {
+  if (n <= 0) return 0;
+  int64_t first = 0;
   if (have_cached_gaussian_) {
     have_cached_gaussian_ = false;
-    return cached_gaussian_;
+    out[first++] = cached_gaussian_;
   }
-  double u1 = 0.0;
-  while (u1 == 0.0) u1 = NextDouble();
-  const double u2 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_gaussian_ = r * std::sin(theta);
-  have_cached_gaussian_ = true;
-  return r * std::cos(theta);
+  // u1 == 0 is redrawn: ln 0 would make r infinite.
+  auto draw_pair = [this](double* pair) {
+    pair[0] = 0.0;
+    while (pair[0] == 0.0) pair[0] = NextDouble();
+    pair[1] = NextDouble();
+  };
+  int64_t i = first;
+  for (; i + 1 < n; i += 2) draw_pair(out + i);
+  if (i < n) {
+    double pair[2];
+    draw_pair(pair);
+    BoxMullerPair(pair);
+    out[i] = pair[0];
+    cached_gaussian_ = pair[1];
+    have_cached_gaussian_ = true;
+  }
+  return first;
+}
+
+void Rng::BoxMullerPairs(double* out, int64_t n) {
+  for (int64_t i = 0; i + 1 < n; i += 2) BoxMullerPair(out + i);
 }
 
 double Rng::NextLogNormal(double mu, double sigma) {

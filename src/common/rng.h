@@ -28,8 +28,27 @@ class Rng {
   /// Uniform double in [lo, hi).
   double NextDouble(double lo, double hi);
 
-  /// Standard normal via Box–Muller.
+  /// Standard normal via Box–Muller: each (u1, u2) pair of uniforms gives
+  /// r cos θ, returned, and r sin θ, cached for the next call. It is the
+  /// one-value case of the two halves below, which bulk fills use directly,
+  /// so FillGaussian and GenerateMatrix reproduce this stream exactly.
   double NextGaussian();
+
+  /// Draw half of NextGaussian for n values at once: writes to out[0, n)
+  /// what the next n NextGaussian() calls would consume, and leaves this Rng
+  /// exactly as those calls would. Returns p, where the raw pairs start:
+  ///  - out[0, p) is final: p is 1 when a cached value was pending, else 0;
+  ///  - out[p, n) holds raw (u1, u2) pairs, u1 > 0, for
+  ///    BoxMullerPairs(out + p, n - p) to turn into values;
+  ///  - when n - p is odd, out[n - 1] is already final: its pair straddles
+  ///    the end of `out`, so it was transformed here and its sine cached.
+  int64_t DrawGaussianUniforms(double* out, int64_t n);
+
+  /// Transform half: replaces each of the n / 2 raw pairs (u1, u2) at the
+  /// front of out[0, n) by (r cos θ, r sin θ), with r = sqrt(-2 ln u1) and
+  /// θ = 2π u2; an odd last element is left as it is. Touches no Rng, so
+  /// threads may transform disjoint buffers concurrently.
+  static void BoxMullerPairs(double* out, int64_t n);
 
   /// Lognormal with the given underlying mu/sigma. Useful for simulated
   /// task-duration noise (heavy right tail, like real cluster stragglers).

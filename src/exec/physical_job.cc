@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
+#include <utility>
 
 #include "common/aligned_buffer.h"
 #include "common/strings.h"
@@ -82,12 +84,19 @@ std::vector<StepRead> StepReads(const std::vector<EwStep>& steps,
   return reads;
 }
 
+/// The step-operand tiles one task has declared so far.
+using DeclaredReads = std::set<std::pair<std::string, TileId>>;
+
 /// CPU seconds and operand bytes of applying `steps` to one tile of
 /// `layout` at grid position (gr, gc); a product step also charges the
-/// multiply of its factor tiles.
+/// multiply of its factor tiles. An operand tile is declared once per task,
+/// whichever of its output tiles reads it first, because the task's memo
+/// serves every later read: a broadcast vector or product factor that
+/// several output tiles share is read once. `declared` holds what this
+/// task declared so far.
 void AddEwStepsCost(const std::vector<EwStep>& steps, const TileLayout& layout,
                     int64_t gr, int64_t gc, const TileOpCostModel& cost,
-                    TaskCost* task_cost) {
+                    DeclaredReads* declared, TaskCost* task_cost) {
   const int64_t rows = layout.TileRowsAt(gr);
   const int64_t cols = layout.TileColsAt(gc);
   for (const EwStep& step : steps) {
@@ -98,7 +107,9 @@ void AddEwStepsCost(const std::vector<EwStep>& steps, const TileLayout& layout,
     }
   }
   for (const StepRead& read : StepReads(steps, layout, TileId{gr, gc})) {
-    task_cost->bytes_read += read.bytes;
+    if (declared->emplace(read.matrix, read.id).second) {
+      task_cost->bytes_read += read.bytes;
+    }
   }
 }
 
@@ -370,6 +381,7 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
               StreamingRefetchBytes(b_bytes, static_cast<double>(i1 - ib),
                                     working_set, ctx.task_pin_bytes));
         }
+        DeclaredReads step_reads;
         for (int64_t i = ib; i < i1; ++i) {
           for (int64_t j = jb; j < j1; ++j) {
             const int64_t mi = lc.TileRowsAt(i);
@@ -379,7 +391,8 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
                   ctx.cost->GemmSeconds(mi, nj, la.TileColsAt(k));
             }
             if (apply_epilogue) {
-              AddEwStepsCost(epilogue_, lc, i, j, *ctx.cost, &task.cost);
+              AddEwStepsCost(epilogue_, lc, i, j, *ctx.cost, &step_reads,
+                             &task.cost);
             }
             const int64_t out_bytes = TileBytes(lc, i, j);
             task.cost.bytes_written += out_bytes;
@@ -559,6 +572,7 @@ Result<BuiltJob> RowPanelJob::Build(const BuildContext& ctx) const {
     // --- Declared cost: X's panels and V once, f's operands, both
     // multiplies, and one partial of Z ---
     int64_t x_bytes = 0, panel_bytes = 0;
+    DeclaredReads step_reads;
     for (int64_t i = i0; i < i1; ++i) {
       int64_t this_panel = 0;
       for (int64_t k = 0; k < gk; ++k) {
@@ -569,7 +583,7 @@ Result<BuiltJob> RowPanelJob::Build(const BuildContext& ctx) const {
             ctx.cost->GemmSeconds(lz.TileRowsAt(k), lz.TileColsAt(0),
                                   lx.TileRowsAt(i));
       }
-      AddEwStepsCost(steps_, lu, i, 0, *ctx.cost, &task.cost);
+      AddEwStepsCost(steps_, lu, i, 0, *ctx.cost, &step_reads, &task.cost);
       x_bytes += this_panel;
       panel_bytes = std::max(panel_bytes, this_panel);
     }
@@ -713,6 +727,7 @@ Result<BuiltJob> SumJob::Build(const BuildContext& ctx) const {
     task.name = StrCat(name_, "/t", built.spec.tasks.size());
     std::vector<TileOutput> outputs;
 
+    DeclaredReads step_reads;
     for (const TileId& id : group) {
       const int64_t bytes = TileBytes(lc, id.row, id.col);
       task.cost.bytes_read += bytes * static_cast<int64_t>(parts_.size());
@@ -720,7 +735,8 @@ Result<BuiltJob> SumJob::Build(const BuildContext& ctx) const {
           static_cast<double>(parts_.size()) *
           ctx.cost->AccumulateSeconds(lc.TileRowsAt(id.row) *
                                       lc.TileColsAt(id.col));
-      AddEwStepsCost(epilogue_, lc, id.row, id.col, *ctx.cost, &task.cost);
+      AddEwStepsCost(epilogue_, lc, id.row, id.col, *ctx.cost, &step_reads,
+                     &task.cost);
       task.cost.bytes_written += bytes;
       outputs.push_back(TileOutput{out_.name, id, bytes});
     }
@@ -818,10 +834,12 @@ Result<BuiltJob> EwChainJob::Build(const BuildContext& ctx) const {
     task.name = StrCat(name_, "/t", built.spec.tasks.size());
     std::vector<TileOutput> outputs;
 
+    DeclaredReads step_reads;
     for (const TileId& id : group) {
       const int64_t bytes = TileBytes(lc, id.row, id.col);
       task.cost.bytes_read += bytes;
-      AddEwStepsCost(steps_, lc, id.row, id.col, *ctx.cost, &task.cost);
+      AddEwStepsCost(steps_, lc, id.row, id.col, *ctx.cost, &step_reads,
+                     &task.cost);
       task.cost.bytes_written += bytes;
       outputs.push_back(TileOutput{out_.name, id, bytes});
     }
@@ -942,6 +960,7 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
     Task task;
     task.name = StrCat(name_, "/t", s0);
     std::vector<TileOutput> outputs;
+    DeclaredReads step_reads;
     for (int64_t s = s0; s < s1; ++s) {
       for (int64_t x = 0; x < cross; ++x) {
         const int64_t gr = row_sums ? s : x;
@@ -952,7 +971,7 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
       }
       const TileId out_id = row_sums ? TileId{s, 0} : TileId{0, s};
       AddEwStepsCost(epilogue_, lo, out_id.row, out_id.col, *ctx.cost,
-                     &task.cost);
+                     &step_reads, &task.cost);
       const int64_t out_bytes = TileBytes(lo, out_id.row, out_id.col);
       task.cost.bytes_written += out_bytes;
       outputs.push_back(TileOutput{out_.name, out_id, out_bytes});

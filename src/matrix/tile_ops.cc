@@ -587,7 +587,8 @@ void FillTile(Tile* t, double value) {
 
 void FillGaussian(Tile* t, Rng* rng) {
   double* d = t->mutable_data();
-  for (int64_t i = 0; i < t->size(); ++i) d[i] = rng->NextGaussian();
+  const int64_t first = rng->DrawGaussianUniforms(d, t->size());
+  Rng::BoxMullerPairs(d + first, t->size() - first);
 }
 
 void FillUniform(Tile* t, Rng* rng, double lo, double hi) {

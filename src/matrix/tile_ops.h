@@ -153,7 +153,8 @@ Result<double> MaxAbsDiff(const Tile& a, const Tile& b);
 /// Fills with a constant.
 void FillTile(Tile* t, double value);
 
-/// Fills with iid N(0,1) / U(0,1) draws from `rng`.
+/// Fills with iid N(0,1) / U(0,1) draws from `rng`, in row-major order:
+/// FillGaussian gives the values t->size() NextGaussian() calls would.
 void FillGaussian(Tile* t, Rng* rng);
 void FillUniform(Tile* t, Rng* rng, double lo = 0.0, double hi = 1.0);
 

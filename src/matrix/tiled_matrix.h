@@ -26,9 +26,15 @@ Status StoreDense(const DenseMatrix& dense, const TiledMatrix& target,
 /// Intended for verification on small matrices.
 Result<DenseMatrix> LoadDense(const TiledMatrix& m, TileStore* store);
 
-/// Generates a tiled matrix tile-by-tile (memory footprint = one tile),
-/// filling each tile with iid N(0,1) (kGaussian), U(0,1) (kUniform) or a
-/// constant.
+/// Generates a tiled matrix tile by tile, filling each tile with iid N(0,1)
+/// (kGaussian), U(0,1) (kUniform) or a constant, and Puts the tiles in grid
+/// order. A kGaussian matrix of several tiles runs Box–Muller on up to
+/// hardware_concurrency() threads that live only inside the call, over
+/// batches of one tile per thread, while the calling thread draws the next
+/// batch's uniforms and does every Put. The values, the Put order and the
+/// state of `*rng` afterwards are exactly those of calling FillGaussian on
+/// each tile in grid order. Memory besides the tiles Put: one tile, or two
+/// such batches.
 enum class FillKind { kGaussian, kUniform, kConstant };
 Status GenerateMatrix(const TiledMatrix& m, FillKind kind, double constant,
                       Rng* rng, TileStore* store);

@@ -1,4 +1,5 @@
 #include <atomic>
+#include <cmath>
 #include <set>
 #include <string>
 #include <vector>
@@ -201,6 +202,25 @@ TEST(RngTest, GaussianMomentsRoughlyStandard) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.05);
   EXPECT_NEAR(sumsq / n, 1.0, 0.05);
+}
+
+// NextGaussian is the Box-Muller stream spelled out below: u1 (redrawn
+// while 0) and u2, then r cos(theta) and r sin(theta). FillGaussian and
+// GenerateMatrix are checked against NextGaussian, so this pins their
+// values too.
+TEST(RngTest, GaussianIsTheBoxMullerStream) {
+  Rng rng(17);
+  Rng uniforms(17);
+  for (int i = 0; i < 1000; ++i) {
+    double u1 = 0.0;
+    while (u1 == 0.0) u1 = uniforms.NextDouble();
+    const double u2 = uniforms.NextDouble();
+    const double r = std::sqrt(-2.0 * std::log(u1));
+    const double theta = 2.0 * M_PI * u2;
+    ASSERT_EQ(rng.NextGaussian(), r * std::cos(theta));
+    ASSERT_EQ(rng.NextGaussian(), r * std::sin(theta));
+  }
+  EXPECT_EQ(rng.NextUint64(), uniforms.NextUint64());
 }
 
 TEST(RngTest, LogNormalMeanOneWhenMuCompensated) {

@@ -478,55 +478,64 @@ TEST(ExecIoTest, RowPanelReadsExactlyWhatItDeclares) {
 }
 
 TEST(ExecIoTest, ProductStepReadsExactlyWhatItDeclares) {
-  // C = A * B is 24 x 4 in 8-row tiles: three tasks, one per output tile
-  // C_i. The epilogue div(v, W*S) . mul(W, v) multiplies W_i by S inside
-  // the task and then reads W_i again; the memo serves that second read,
-  // so each task reads W_i once and S once. One slot per machine keeps the
-  // tasks on separate nodes, where the store cannot coalesce two tasks'
-  // concurrent prefetches of B or S into one read.
-  for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
-    SCOPED_TRACE(StrCat("prefetch window ", prefetch_bytes));
-    SimDfs dfs(DfsOptions{});
-    DfsTileStore store(&dfs);
-    store.EnablePrefetch(2);
-    TiledMatrix a{"A", TileLayout::Square(24, 16, 8)};
-    TiledMatrix b{"B", TileLayout::Square(16, 4, 8)};
-    TiledMatrix w{"W", TileLayout::Square(24, 4, 8)};
-    TiledMatrix s{"S", TileLayout::Square(4, 4, 8)};
-    TiledMatrix c{"C", TileLayout::Square(24, 4, 8)};
-    Rng rng(7);
-    for (const TiledMatrix* m : {&a, &b, &w, &s}) {
-      ASSERT_TRUE(StoreDense(DenseMatrix::Uniform(m->layout.rows(),
-                                                  m->layout.cols(), &rng),
-                             *m, &store)
+  // C = A * B is 24 x 4 in 8-row tiles. The epilogue div(v, W*S) . mul(W, v)
+  // multiplies W_i by S inside the task and then reads W_i again; the memo
+  // serves that second read. With one task per output tile C_i ({1, 1, 0})
+  // each of the three tasks reads A_i's two tiles, B's two tiles, W_i and
+  // S. With one task for all three ({3, 1, 0}) the memo also serves the
+  // later output tiles' reads of B and S, so B and S are read once. One
+  // slot per machine keeps the tasks on separate nodes, where the store
+  // cannot coalesce two tasks' concurrent prefetches of B or S into one
+  // read.
+  for (const MatMulParams& params :
+       {MatMulParams{1, 1, 0}, MatMulParams{3, 1, 0}}) {
+    for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
+      SCOPED_TRACE(
+          StrCat(params.ToString(), ", prefetch window ", prefetch_bytes));
+      SimDfs dfs(DfsOptions{});
+      DfsTileStore store(&dfs);
+      store.EnablePrefetch(2);
+      TiledMatrix a{"A", TileLayout::Square(24, 16, 8)};
+      TiledMatrix b{"B", TileLayout::Square(16, 4, 8)};
+      TiledMatrix w{"W", TileLayout::Square(24, 4, 8)};
+      TiledMatrix s{"S", TileLayout::Square(4, 4, 8)};
+      TiledMatrix c{"C", TileLayout::Square(24, 4, 8)};
+      Rng rng(7);
+      for (const TiledMatrix* m : {&a, &b, &w, &s}) {
+        ASSERT_TRUE(StoreDense(DenseMatrix::Uniform(m->layout.rows(),
+                                                    m->layout.cols(), &rng),
+                               *m, &store)
+                        .ok());
+      }
+      MetricsRegistry metrics;
+      store.AttachMetrics(&metrics);  // after the input writes: reads only
+
+      RealEngine engine(ClusterConfig{MachineProfile{}, 4, 1},
+                        RealEngineOptions{});
+      TileOpCostModel cost;
+      ExecutorOptions options;
+      options.prefetch_budget_bytes = prefetch_bytes;
+      Executor executor(&store, &engine, &cost, options);
+      PhysicalPlan plan;
+      ASSERT_TRUE(AddMatMul(a, b, c, params,
+                            {EwStep::Product(BinaryOp::kDiv, "W", "S", 4),
+                             EwStep::Binary(BinaryOp::kMul, "W", true)},
+                            &plan)
                       .ok());
+      auto stats = executor.Run(plan);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+
+      const MetricsSnapshot snapshot = metrics.Snapshot();
+      const int64_t tasks = 3 / params.bi;
+      EXPECT_EQ(stats->total_tasks, tasks);
+      // A's six 8 x 8 tiles and W's three 8 x 4 tiles once; per task, B's
+      // two 8 x 4 tiles and S (4 x 4).
+      EXPECT_EQ(snapshot.CounterOr("dfs.read.ops", -1), 6 + 3 + tasks * 3);
+      EXPECT_EQ(stats->bytes_read,
+                6 * (16 + 8 * 8 * 8) + 3 * (16 + 8 * 4 * 8) +
+                    tasks * (2 * (16 + 8 * 4 * 8) + (16 + 4 * 4 * 8)));
+      EXPECT_EQ(snapshot.CounterOr("dfs.read.bytes", -1), stats->bytes_read);
     }
-    MetricsRegistry metrics;
-    store.AttachMetrics(&metrics);  // after the input writes: reads only
-
-    RealEngine engine(ClusterConfig{MachineProfile{}, 4, 1},
-                      RealEngineOptions{});
-    TileOpCostModel cost;
-    ExecutorOptions options;
-    options.prefetch_budget_bytes = prefetch_bytes;
-    Executor executor(&store, &engine, &cost, options);
-    PhysicalPlan plan;
-    ASSERT_TRUE(AddMatMul(a, b, c, MatMulParams{1, 1, 0},
-                          {EwStep::Product(BinaryOp::kDiv, "W", "S", 4),
-                           EwStep::Binary(BinaryOp::kMul, "W", true)},
-                          &plan)
-                    .ok());
-    auto stats = executor.Run(plan);
-    ASSERT_TRUE(stats.ok()) << stats.status();
-
-    const MetricsSnapshot snapshot = metrics.Snapshot();
-    EXPECT_EQ(stats->total_tasks, 3);
-    // Per task: A_i's two 8 x 8 tiles, B's two 8 x 4 tiles, W_i (8 x 4)
-    // and S (4 x 4).
-    EXPECT_EQ(snapshot.CounterOr("dfs.read.ops", -1), 3 * 6);
-    EXPECT_EQ(stats->bytes_read, 3 * (2 * (16 + 8 * 8 * 8) +
-                                      3 * (16 + 8 * 4 * 8) + (16 + 4 * 4 * 8)));
-    EXPECT_EQ(snapshot.CounterOr("dfs.read.bytes", -1), stats->bytes_read);
   }
 }
 

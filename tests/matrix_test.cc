@@ -1,10 +1,14 @@
 #include <cmath>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "matrix/dense_matrix.h"
 #include "matrix/layout.h"
 #include "matrix/tile.h"
@@ -460,6 +464,68 @@ TEST(TiledMatrixTest, TiledMaxAbsDiffSeesPerTileDifferences) {
   auto d1 = TiledMaxAbsDiff(a, b, &store);
   ASSERT_TRUE(d1.ok());
   EXPECT_DOUBLE_EQ(d1.value(), 8.0);
+}
+
+// ---------------------------------------------------------------------------
+// GenerateMatrix
+// ---------------------------------------------------------------------------
+
+/// An in-memory store that records the order of its Puts.
+class PutOrderStore : public InMemoryTileStore {
+ public:
+  Status Put(const std::string& matrix, TileId id,
+             std::shared_ptr<const Tile> tile, int writer_node) override {
+    puts.push_back(id);
+    return InMemoryTileStore::Put(matrix, id, std::move(tile), writer_node);
+  }
+
+  std::vector<TileId> puts;
+};
+
+// GenerateMatrix(kGaussian) runs Box-Muller on several threads but must
+// give what a sequential fill gives: each element the next NextGaussian()
+// of an Rng with the same seed, tiles Put in grid order, and the Rng left
+// where the sequential fill leaves it. Tiles with odd element counts
+// (31 x 33 at 7, and the one-tile 5 x 9) end inside a Box-Muller pair, and
+// the draw between matrices changes which half of a pair each one starts
+// on.
+TEST(GenerateMatrixTest, GaussianMatchesSequentialNextGaussian) {
+  struct Shape {
+    int64_t rows, cols, tile;
+  };
+  const Shape shapes[] = {{1000, 700, 256}, {513, 77, 128}, {31, 33, 7},
+                          {1, 1, 1},        {5, 9, 16},     {4096, 64, 512}};
+  for (const uint64_t seed : {uint64_t{1}, uint64_t{29}, uint64_t{2013}}) {
+    Rng rng(seed);
+    Rng reference(seed);
+    PutOrderStore store;
+    for (const Shape& shape : shapes) {
+      const TiledMatrix m{
+          StrCat("g", shape.rows, "x", shape.cols),
+          TileLayout::Square(shape.rows, shape.cols, shape.tile)};
+      SCOPED_TRACE(StrCat("seed ", seed, ", ", m.layout.ToString()));
+      store.puts.clear();
+      ASSERT_TRUE(
+          GenerateMatrix(m, FillKind::kGaussian, 0.0, &rng, &store).ok());
+      std::vector<TileId> grid_order;
+      for (int64_t gr = 0; gr < m.layout.grid_rows(); ++gr) {
+        for (int64_t gc = 0; gc < m.layout.grid_cols(); ++gc) {
+          grid_order.push_back(TileId{gr, gc});
+        }
+      }
+      ASSERT_EQ(store.puts, grid_order);
+      for (const TileId& id : grid_order) {
+        auto tile = store.Get(m.name, id, -1);
+        ASSERT_TRUE(tile.ok());
+        for (int64_t i = 0; i < (*tile)->size(); ++i) {
+          ASSERT_EQ((*tile)->data()[i], reference.NextGaussian())
+              << "tile (" << id.row << ", " << id.col << "), element " << i;
+        }
+      }
+      ASSERT_EQ(rng.NextGaussian(), reference.NextGaussian());
+    }
+    EXPECT_EQ(rng.NextUint64(), reference.NextUint64());
+  }
 }
 
 }  // namespace
