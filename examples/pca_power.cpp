@@ -3,11 +3,12 @@
 //
 //   1. mu  = col_sums(X) / n          (AggregateJob)
 //   2. Xc  = X - mu                   (broadcast EwChainJob)
-//   3. for k iterations: v = normalize(Xc^T (Xc v))   (fused multiplies)
+//   3. for k iterations: v = Xc^T (Xc v) / n          (fused multiplies)
 //
-// The dominant eigenvector estimate converges; we report the Rayleigh
+// The iterate's direction converges to the dominant eigenvector while its
+// length grows by about lambda/n per iteration; we report the Rayleigh
 // quotient per iteration and verify the result against a single-node
-// reference.
+// reference, relative to the reference's largest entry.
 
 #include <cmath>
 #include <cstdio>
@@ -104,11 +105,16 @@ int Run() {
   CUMULON_CHECK(v_out.ok());
   auto diff = v_ref.MaxAbsDiff(*v_out);
   CUMULON_CHECK(diff.ok());
-  std::printf("max |distributed - reference| = %.2e\n", diff.value());
+  // max |reference|, as the distance from the zero vector.
+  auto ref_max = v_ref.MaxAbsDiff(DenseMatrix(d, 1));
+  CUMULON_CHECK(ref_max.ok());
+  const double rel_diff = diff.value() / ref_max.value();
+  std::printf("max |distributed - reference| / max |reference| = %.2e\n",
+              rel_diff);
   std::printf("DFS moved %s across %d tasks\n",
               FormatBytes(dfs.TotalStats().bytes_read()).c_str(),
               stats->total_tasks);
-  return diff.value() < 1e-6 ? 0 : 1;
+  return rel_diff < 1e-9 ? 0 : 1;
 }
 
 }  // namespace

@@ -55,8 +55,8 @@ void SetFirstTouchHook(FirstTouchHook hook);
 FirstTouchHook GetFirstTouchHook();
 
 /// std::allocator drop-in whose allocations are cache-line aligned and
-/// padded to whole lines. Used by Tile / SparseTile payload vectors and the
-/// kernel packing buffers.
+/// padded to whole lines. Used by Tile payload vectors and the kernel
+/// packing buffers.
 template <typename T>
 class AlignedAllocator {
  public:

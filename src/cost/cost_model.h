@@ -125,17 +125,6 @@ struct TileOpCostModel {
   /// Accumulating (acc += x) over n elements; same cost family as
   /// element-wise.
   double AccumulateSeconds(int64_t n) const { return EwSeconds(n); }
-
-  /// Fraction of dense-GEMM flop throughput the CSR SpMM kernel sustains
-  /// (irregular access costs it roughly half on typical hardware).
-  double spmm_efficiency = 0.5;
-
-  /// C += S * D with S sparse (nnz nonzeros) and D dense with n columns:
-  /// 2 * nnz * n flops at reduced efficiency.
-  double SpmmSeconds(int64_t nnz, int64_t n) const {
-    return per_tile_overhead_seconds +
-           2.0 * nnz * n / (spmm_efficiency * 1e9);
-  }
 };
 
 }  // namespace cumulon

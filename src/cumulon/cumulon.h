@@ -36,11 +36,9 @@
 #include "cost/regression.h"
 #include "dfs/dfs_tile_store.h"
 #include "dfs/sim_dfs.h"
-#include "dfs/sparse_tile_store.h"
 #include "exec/executor.h"
 #include "exec/physical_plan.h"
 #include "exec/report.h"
-#include "exec/sparse_matmul_job.h"
 #include "lang/driver.h"
 #include "lang/expr.h"
 #include "lang/interpreter.h"
@@ -48,7 +46,6 @@
 #include "lang/lowering.h"
 #include "lang/programs.h"
 #include "matrix/dense_matrix.h"
-#include "matrix/sparse_tile.h"
 #include "matrix/tile_io.h"
 #include "matrix/tiled_matrix.h"
 #include "obs/metrics.h"

@@ -214,14 +214,13 @@ Result<std::shared_ptr<const Tile>> DfsTileStore::Get(
 Result<std::shared_ptr<const Tile>> DfsTileStore::ReadThrough(
     const std::string& matrix, TileId id, const std::string& path,
     int reader_node) {
-  CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const void> payload,
+  CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const Tile> tile,
                            dfs_->Read(path, reader_node));
-  if (payload == nullptr) {
+  if (tile == nullptr) {
     return Status::Internal(
         StrCat("tile ", id, " of '", matrix, "' has no payload (metadata-only",
                " write read back through DfsTileStore)"));
   }
-  auto tile = std::static_pointer_cast<const Tile>(payload);
   if (counters_.read_ops != nullptr) {
     counters_.read_ops->Increment();
     counters_.read_bytes->Add(tile->SizeBytes());

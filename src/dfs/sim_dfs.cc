@@ -101,7 +101,7 @@ int SimDfs::NumLiveNodes() const {
 }
 
 Status SimDfs::Write(const std::string& path, int64_t size, int writer_node,
-                     std::shared_ptr<const void> payload) {
+                     std::shared_ptr<const Tile> payload) {
   if (size < 0) return Status::InvalidArgument("negative file size");
   MutexLock lock(&mu_);
   FileEntry entry;
@@ -125,9 +125,9 @@ Status SimDfs::Write(const std::string& path, int64_t size, int writer_node,
   return Status::OK();
 }
 
-Result<std::shared_ptr<const void>> SimDfs::Read(const std::string& path,
+Result<std::shared_ptr<const Tile>> SimDfs::Read(const std::string& path,
                                                  int reader_node) {
-  std::shared_ptr<const void> payload;
+  std::shared_ptr<const Tile> payload;
   double service_seconds = 0.0;
   {
     MutexLock lock(&mu_);

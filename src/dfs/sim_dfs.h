@@ -15,6 +15,8 @@
 
 namespace cumulon {
 
+class Tile;  // matrix/tile.h; the payload type of a file
+
 /// Configuration for the simulated distributed file system.
 struct DfsOptions {
   int num_nodes = 4;                         // data nodes in the cluster
@@ -68,9 +70,9 @@ struct DfsStats {
 /// remote-read accounting. What it does not model: permissions, append,
 /// failures of the namenode, wire formats.
 ///
-/// Payloads are optional type-erased pointers so the real execution engine
-/// can round-trip actual tile data through the same path the simulator
-/// meters; simulation-only runs pass nullptr and only metadata moves.
+/// A file's payload is an optional tile, so the real execution engine can
+/// round-trip actual tile data through the same path the simulator meters;
+/// simulation-only runs pass nullptr and only metadata moves.
 ///
 /// Thread-safe.
 class SimDfs {
@@ -83,12 +85,12 @@ class SimDfs {
   /// the first replica of every block when in [0, num_nodes); remaining
   /// replicas go to distinct random nodes.
   Status Write(const std::string& path, int64_t size, int writer_node,
-               std::shared_ptr<const void> payload);
+               std::shared_ptr<const Tile> payload);
 
   /// Reads the whole file, attributing each block to a local read if
   /// `reader_node` holds a replica and a remote read otherwise.
   /// Returns the payload stored at write time (may be null).
-  Result<std::shared_ptr<const void>> Read(const std::string& path,
+  Result<std::shared_ptr<const Tile>> Read(const std::string& path,
                                            int reader_node);
 
   Status Delete(const std::string& path);
@@ -130,7 +132,7 @@ class SimDfs {
  private:
   struct FileEntry {
     DfsFileInfo info;
-    std::shared_ptr<const void> payload;
+    std::shared_ptr<const Tile> payload;
   };
 
   std::vector<int> PlaceReplicasLocked(int writer_node) CUMULON_REQUIRES(mu_);

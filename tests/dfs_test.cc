@@ -21,11 +21,13 @@ DfsOptions SmallDfs() {
 
 TEST(SimDfsTest, WriteReadRoundTrip) {
   SimDfs dfs(SmallDfs());
-  auto payload = std::make_shared<int>(42);
-  ASSERT_TRUE(dfs.Write("/f", 100, 0, payload).ok());
+  auto payload = std::make_shared<Tile>(2, 2);
+  payload->Set(1, 0, 42.0);
+  ASSERT_TRUE(dfs.Write("/f", payload->SizeBytes(), 0, payload).ok());
   auto read = dfs.Read("/f", 0);
   ASSERT_TRUE(read.ok());
-  EXPECT_EQ(*std::static_pointer_cast<const int>(read.value()), 42);
+  EXPECT_EQ(read.value(), payload);
+  EXPECT_EQ(read.value()->At(1, 0), 42.0);
 }
 
 TEST(SimDfsTest, ReadMissingFileIsNotFound) {

@@ -35,10 +35,13 @@ Checks (all run by default; exit code 0 = clean):
    entry-point pairs; losing one silently un-guards that edge, so the
    linter greps for the call.
 
-5. Experiment contract (DESIGN.md -> EXPERIMENTS.md): every ID in
-   DESIGN.md's "## Experiment index" table must have a "## <ID> —" section
-   in EXPERIMENTS.md, so deleting an experiment's results fails tier-1
-   instead of leaving the index pointing at nothing.
+5. Experiment contract (DESIGN.md -> EXPERIMENTS.md, DESIGN.md <->
+   bench/CMakeLists.txt): every ID in DESIGN.md's "## Experiment index"
+   table must have a "## <ID> —" section in EXPERIMENTS.md, every bench_*
+   target that bench/CMakeLists.txt builds must be named in an index row,
+   and every bench an index row names must be built. Deleting an
+   experiment's results, its bench or its row alone then fails tier-1
+   instead of leaving the index and the benches out of step.
 
 Usage:
   tools/cumulon_lint.py [--root REPO_ROOT]
@@ -78,11 +81,16 @@ VERIFY_EDGE_CONTRACT = (
     ('opt/job_tuner.cc', 'VerifyMatMulSplit'),
 )
 
-# DESIGN.md's experiment index rows ("| E2 | ...") and EXPERIMENTS.md's
-# section headings ("## E2 — ...").
+# DESIGN.md's experiment index rows ("| E2 | ... | `bench_e2_split_sweep` |"),
+# EXPERIMENTS.md's section headings ("## E2 — ...") and the bench targets
+# bench/CMakeLists.txt builds ("cumulon_add_bench(bench_e2_split_sweep)" or
+# "add_executable(bench_e10_micro_tile ...)").
 EXPERIMENT_INDEX_HEADING = '## Experiment index'
 EXPERIMENT_ROW_RE = re.compile(r'^\|\s*([EA]\d+[a-z]?)\s*\|')
 EXPERIMENT_SECTION_RE = re.compile(r'^## ([EA]\d+[a-z]?) —')
+BENCH_NAME_RE = re.compile(r'`(bench_\w+)`')
+BENCH_TARGET_RE = re.compile(
+    r'^\s*(?:cumulon_add_bench|add_executable)\(\s*(bench_\w+)')
 
 BANNED_SYNC_RE = re.compile(
     r'std::(mutex|condition_variable|condition_variable_any|lock_guard|'
@@ -257,9 +265,10 @@ def parse_doc_contract(doc_path):
     return doc_names, doc_rows, categories
 
 
-def experiment_index_ids(design_path):
-    """Returns [(experiment ID, lineno)] from DESIGN.md's index table."""
-    ids = []
+def experiment_index(design_path):
+    """Returns [(experiment ID, lineno, bench names in the row)] from
+    DESIGN.md's index table."""
+    rows = []
     in_index = False
     with open(design_path, encoding='utf-8') as f:
         for lineno, line in enumerate(f, start=1):
@@ -268,8 +277,17 @@ def experiment_index_ids(design_path):
                 continue
             m = EXPERIMENT_ROW_RE.match(line) if in_index else None
             if m:
-                ids.append((m.group(1), lineno))
-    return ids
+                rows.append((m.group(1), lineno, BENCH_NAME_RE.findall(line)))
+    return rows
+
+
+def bench_targets(cmake_path):
+    """Returns {bench target: lineno} that bench/CMakeLists.txt builds."""
+    if not os.path.exists(cmake_path):
+        return {}
+    with open(cmake_path, encoding='utf-8') as f:
+        return {m.group(1): lineno for lineno, m in
+                enumerate(map(BENCH_TARGET_RE.match, f), start=1) if m}
 
 
 def experiment_sections(experiments_path):
@@ -318,16 +336,30 @@ def lint(root, edge_contract=VERIFY_EDGE_CONTRACT):
                 f'{symbol}() (verifier-edge contract; see DESIGN.md '
                 f'"Plan verification")')
 
-    # Experiment contract: each indexed experiment has its results section.
+    # Experiment contract: each indexed experiment has its results section
+    # and a built bench, and each built bench has an index row.
     design_path = os.path.join(root, 'DESIGN.md')
     if os.path.exists(design_path):
         sections = experiment_sections(os.path.join(root, 'EXPERIMENTS.md'))
-        for exp_id, lineno in experiment_index_ids(design_path):
+        built = bench_targets(os.path.join(root, 'bench', 'CMakeLists.txt'))
+        indexed = set()
+        for exp_id, lineno, benches in experiment_index(design_path):
             if exp_id not in sections:
                 errors.append(
                     f'DESIGN.md:{lineno}: experiment {exp_id} is in the '
                     f'experiment index but EXPERIMENTS.md has no '
                     f'"## {exp_id} —" section')
+            for bench in benches:
+                indexed.add(bench)
+                if bench not in built:
+                    errors.append(
+                        f'DESIGN.md:{lineno}: experiment {exp_id} names '
+                        f'{bench}, which bench/CMakeLists.txt does not build')
+        for bench, lineno in sorted(built.items()):
+            if bench not in indexed:
+                errors.append(
+                    f'bench/CMakeLists.txt:{lineno}: {bench} is built but no '
+                    f'row of DESIGN.md\'s experiment index names it')
 
     if not os.path.exists(doc_path):
         errors.append(f'{doc_path}: missing metric contract doc')
@@ -432,12 +464,19 @@ void F(MetricsRegistry* m, Tracer* t) {
 
 SELF_TEST_DESIGN = """# Design
 ## Experiment index
-| ID | Claim |
-|---|---|
-| E1 | multiply |
-| A1 | fusion |
+| ID | Claim | Bench target |
+|---|---|---|
+| E1 | multiply | `bench_e1` |
+| A1 | fusion | `bench_a1` |
 ## Design choices
-| E9 | not in the index |
+| E9 | not in the index | `bench_e9` |
+"""
+
+SELF_TEST_BENCH_CMAKE = """function(cumulon_add_bench name)
+  add_executable(${name} ${name}.cc)
+endfunction()
+cumulon_add_bench(bench_e1)
+add_executable(bench_a1 bench_a1.cc)
 """
 
 SELF_TEST_EXPERIMENTS = """# Experiments
@@ -454,6 +493,7 @@ def write_tree(tmp, doc, src, root_files=None):
     with open(os.path.join(tmp, 'src', 'x', 'x.cc'), 'w') as f:
         f.write(src)
     for name, text in (root_files or {}).items():
+        os.makedirs(os.path.dirname(os.path.join(tmp, name)), exist_ok=True)
         with open(os.path.join(tmp, name), 'w', encoding='utf-8') as f:
             f.write(text)
 
@@ -579,19 +619,39 @@ def self_test():
            edge_contract=(('gone/gone.cc', 'VerifyPlanStatus'),))
 
     # --- experiment contract ------------------------------------------------
-    expect('every indexed experiment has a section', SELF_TEST_DOC,
-           SELF_TEST_SRC, want_clean=True,
-           root_files={'DESIGN.md': SELF_TEST_DESIGN,
-                       'EXPERIMENTS.md': SELF_TEST_EXPERIMENTS})
+    experiment_files = {'DESIGN.md': SELF_TEST_DESIGN,
+                        'EXPERIMENTS.md': SELF_TEST_EXPERIMENTS,
+                        'bench/CMakeLists.txt': SELF_TEST_BENCH_CMAKE}
+    expect('index, sections and benches agree', SELF_TEST_DOC,
+           SELF_TEST_SRC, want_clean=True, root_files=experiment_files)
     expect('indexed experiment lost its section', SELF_TEST_DOC,
            SELF_TEST_SRC, want_clean=False,
            want_substring='experiment A1 is in the experiment index',
-           root_files={'DESIGN.md': SELF_TEST_DESIGN,
+           root_files={**experiment_files,
                        'EXPERIMENTS.md': SELF_TEST_EXPERIMENTS.replace(
                            '## A1 — fusion', '## A1 fusion')})
     expect('EXPERIMENTS.md missing', SELF_TEST_DOC, SELF_TEST_SRC,
            want_clean=False, want_substring='experiment E1 is in',
-           root_files={'DESIGN.md': SELF_TEST_DESIGN})
+           root_files={'DESIGN.md': SELF_TEST_DESIGN,
+                       'bench/CMakeLists.txt': SELF_TEST_BENCH_CMAKE})
+    expect('built bench has no index row', SELF_TEST_DOC, SELF_TEST_SRC,
+           want_clean=False,
+           want_substring='bench/CMakeLists.txt:6: bench_e2 is built',
+           root_files={**experiment_files,
+                       'bench/CMakeLists.txt': SELF_TEST_BENCH_CMAKE +
+                       'cumulon_add_bench(bench_e2)\n'})
+    expect('indexed bench is not built', SELF_TEST_DOC, SELF_TEST_SRC,
+           want_clean=False,
+           want_substring='experiment A1 names bench_a1, which',
+           root_files={**experiment_files,
+                       'bench/CMakeLists.txt': SELF_TEST_BENCH_CMAKE.replace(
+                           'add_executable(bench_a1 bench_a1.cc)\n', '')})
+    expect('bench named only outside the index is not indexed',
+           SELF_TEST_DOC, SELF_TEST_SRC, want_clean=False,
+           want_substring='bench_e9 is built',
+           root_files={**experiment_files,
+                       'bench/CMakeLists.txt': SELF_TEST_BENCH_CMAKE +
+                       'cumulon_add_bench(bench_e9)\n'})
 
     if failures:
         for f in failures:
