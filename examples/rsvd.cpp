@@ -1,13 +1,18 @@
 // RSVD-1 (the paper's running example): one randomized-SVD power-iteration
 // step, Y = A A^T A Omega.
 //
-// Part 1 runs a small instance for real and verifies it. Part 2 shows the
-// logical optimizer's multiply-chain reordering, then asks the deployment
-// optimizer to predict time/cost of a cloud-scale instance on several
-// clusters — the workflow a Cumulon user follows before renting machines.
+// Part 1 shows the logical optimizer's multiply-chain reordering, runs a
+// small instance for real and verifies Y against the single-node
+// interpreter on the naive chain: max |distributed - reference|, relative
+// to the reference's largest entry, must stay below 1e-9 or the example
+// exits 1. Part 2 asks the deployment optimizer to predict time/cost of a
+// cloud-scale instance on several clusters — the workflow a Cumulon user
+// follows before renting machines.
 
 #include <cstdio>
 #include <map>
+#include <string>
+#include <utility>
 
 #include "cumulon/cumulon.h"
 
@@ -15,7 +20,8 @@ namespace {
 
 using namespace cumulon;  // NOLINT: example code
 
-void RunSmallForReal() {
+/// Returns whether Y matched the reference.
+bool RunSmallForReal() {
   std::printf("== Part 1: real execution of a small RSVD-1 ==\n");
   RsvdSpec spec;
   spec.m = 128;
@@ -55,10 +61,30 @@ void RunSmallForReal() {
 
   auto y = LoadDense(lowered->outputs.at("Y"), &store);
   CUMULON_CHECK(y.ok());
-  std::printf("Y is %lld x %lld, ||Y||_F = %.4g (%d tasks, %zu jobs)\n\n",
+  std::printf("Y is %lld x %lld, ||Y||_F = %.4g (%d tasks, %zu jobs)\n",
               static_cast<long long>(y->rows()),
               static_cast<long long>(y->cols()), y->FrobeniusNorm(),
               stats->total_tasks, stats->jobs.size());
+
+  // Verify against the single-node reference on the dense inputs.
+  std::map<std::string, DenseMatrix> env;
+  for (const auto& [name, matrix] : bindings) {
+    auto dense = LoadDense(matrix, &store);
+    CUMULON_CHECK(dense.ok()) << dense.status();
+    env.emplace(name, std::move(dense).value());
+  }
+  auto reference = EvalProgram(naive, std::move(env));
+  CUMULON_CHECK(reference.ok()) << reference.status();
+  const DenseMatrix& y_ref = reference->at("Y");
+  auto diff = y_ref.MaxAbsDiff(*y);
+  CUMULON_CHECK(diff.ok()) << diff.status();
+  // max |reference|, as the distance from the zero matrix.
+  auto ref_max = y_ref.MaxAbsDiff(DenseMatrix(y_ref.rows(), y_ref.cols()));
+  CUMULON_CHECK(ref_max.ok());
+  const double rel_diff = diff.value() / ref_max.value();
+  std::printf("max |distributed - reference| / max |reference| = %.2e\n\n",
+              rel_diff);
+  return rel_diff < 1e-9;
 }
 
 void PlanCloudScale() {
@@ -93,7 +119,7 @@ void PlanCloudScale() {
 }  // namespace
 
 int main() {
-  RunSmallForReal();
+  const bool verified = RunSmallForReal();
   PlanCloudScale();
-  return 0;
+  return verified ? 0 : 1;
 }

@@ -1,6 +1,9 @@
 #ifndef CUMULON_CLUSTER_ENGINE_H_
 #define CUMULON_CLUSTER_ENGINE_H_
 
+#include <cstdint>
+#include <memory>
+
 #include "cluster/cluster_config.h"
 #include "cluster/task.h"
 #include "common/result.h"
@@ -28,6 +31,18 @@ class Engine {
   /// model reads the byte budget the cluster would really have.
   virtual TileCacheGroup* tile_caches() const { return nullptr; }
 };
+
+/// The per-machine tile caches of an engine with node caching on:
+/// `bytes_per_node` each when > 0 (tests and benches), else the machine's
+/// NodeTileCacheBudget.
+inline std::unique_ptr<TileCacheGroup> MakeNodeTileCaches(
+    const ClusterConfig& config, int64_t bytes_per_node) {
+  return std::make_unique<TileCacheGroup>(
+      config.num_machines,
+      bytes_per_node > 0 ? bytes_per_node
+                         : NodeTileCacheBudget(config.machine.memory_bytes(),
+                                               config.slots_per_machine));
+}
 
 }  // namespace cumulon
 

@@ -23,13 +23,7 @@ RealEngine::RealEngine(const ClusterConfig& config,
   threads = std::max(threads, 1);
   pool_ = std::make_unique<ThreadPool>(threads);
   if (options_.enable_tile_cache) {
-    const int64_t bytes =
-        options_.cache_bytes_per_node > 0
-            ? options_.cache_bytes_per_node
-            : NodeTileCacheBudget(config_.machine.memory_bytes(),
-                                  config_.slots_per_machine,
-                                  options_.cache_slot_memory_fraction);
-    caches_ = std::make_unique<TileCacheGroup>(config_.num_machines, bytes);
+    caches_ = MakeNodeTileCaches(config_, options_.cache_bytes_per_node);
   }
 }
 

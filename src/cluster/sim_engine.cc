@@ -19,13 +19,7 @@ SimEngine::SimEngine(const ClusterConfig& config,
   CUMULON_CHECK_GT(config_.num_machines, 0);
   CUMULON_CHECK_GT(config_.slots_per_machine, 0);
   if (options_.enable_tile_cache) {
-    const int64_t bytes =
-        options_.cache_bytes_per_node > 0
-            ? options_.cache_bytes_per_node
-            : NodeTileCacheBudget(config_.machine.memory_bytes(),
-                                  config_.slots_per_machine,
-                                  options_.cache_slot_memory_fraction);
-    caches_ = std::make_unique<TileCacheGroup>(config_.num_machines, bytes);
+    caches_ = MakeNodeTileCaches(config_, options_.cache_bytes_per_node);
   }
 }
 
@@ -49,17 +43,12 @@ double SimEngine::TaskDuration(const TaskCost& cost, bool local_read,
   // NIC; only the residual miss bytes are charged below.
   const double uncached_read = static_cast<double>(
       std::max<int64_t>(cost.bytes_read - cost.bytes_read_cached, 0));
-  double local_bytes, remote_bytes;
-  if (local_read) {
-    local_bytes = uncached_read;
-    remote_bytes = 0.0;
-  } else {
-    local_bytes = options_.nonlocal_local_fraction * uncached_read;
-    remote_bytes = uncached_read - local_bytes;
-  }
-  // Shuffle traffic always crosses the network; spills hit the local disk
-  // exactly once (MapReduce-baseline cost fields).
-  remote_bytes += static_cast<double>(cost.shuffle_bytes);
+  // A local task reads them from its own disk, a non-local one over the
+  // network. Shuffle traffic always crosses the network; spills hit the
+  // local disk exactly once (MapReduce-baseline cost fields).
+  const double local_bytes = local_read ? uncached_read : 0.0;
+  const double remote_bytes = (local_read ? 0.0 : uncached_read) +
+                              static_cast<double>(cost.shuffle_bytes);
   const double read_time = local_bytes / disk_bw + remote_bytes / net_bw;
 
   // First replica to local disk, the rest pipelined over the network.

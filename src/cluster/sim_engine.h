@@ -35,10 +35,6 @@ struct SimEngineOptions {
   bool locality_aware = true;
   double locality_delay_seconds = 3.0;
 
-  /// Fraction of a non-local task's reads that still hit the local disk
-  /// (e.g. cached side inputs); 0 = all remote.
-  double nonlocal_local_fraction = 0.0;
-
   /// Hadoop-style speculative execution: when a task runs long, a backup
   /// attempt is launched and the earlier finisher wins. Modeled as
   /// completion = min(noisy duration,
@@ -60,10 +56,6 @@ struct SimEngineOptions {
   /// bytes a task's declared cost does NOT expect to find cached
   /// (TaskCost::bytes_read_cached).
   bool enable_tile_cache = false;
-
-  /// Fraction of a slot's RAM share reserved for task working sets when
-  /// sizing the cache (mirrors TuneOptions::memory_fraction).
-  double cache_slot_memory_fraction = 0.8;
 
   /// Overrides the derived per-machine cache size when > 0.
   int64_t cache_bytes_per_node = 0;

@@ -186,12 +186,12 @@ void TileCacheGroup::Clear() {
   for (auto& cache : caches_) cache->Clear();
 }
 
-int64_t NodeTileCacheBudget(double machine_memory_bytes, int slots_per_machine,
-                            double slot_memory_fraction) {
+int64_t NodeTileCacheBudget(double machine_memory_bytes,
+                            int slots_per_machine) {
   slots_per_machine = std::max(slots_per_machine, 1);
   const double slot_share = machine_memory_bytes / slots_per_machine;
   const double working_sets =
-      slots_per_machine * slot_share * slot_memory_fraction;
+      slots_per_machine * slot_share * kTaskMemoryFraction;
   const double budget = machine_memory_bytes - working_sets;
   return budget <= 0.0 ? 0 : static_cast<int64_t>(budget);
 }

@@ -180,13 +180,14 @@ class TileCacheGroup {
   std::vector<std::unique_ptr<TileCache>> caches_;
 };
 
+/// Fraction of a slot's share of machine memory that its task may use. The
+/// optimizer's memory-feasibility filter (SlotMemoryBytes) and the node
+/// cache's budget (NodeTileCacheBudget) both split machine memory with it.
+inline constexpr double kTaskMemoryFraction = 0.8;
+
 /// Cache budget of one node: machine memory minus the slots' task working
-/// sets. `slot_memory_fraction` is the fraction of a slot's RAM share that
-/// tasks may use (the same knob as TuneOptions::memory_fraction, default
-/// 0.8), so the optimizer's memory-feasibility filter and the cache agree
-/// on how machine memory is divided.
-int64_t NodeTileCacheBudget(double machine_memory_bytes, int slots_per_machine,
-                            double slot_memory_fraction);
+/// sets, so the cache only gets memory no task is promised.
+int64_t NodeTileCacheBudget(double machine_memory_bytes, int slots_per_machine);
 
 }  // namespace cumulon
 

@@ -151,7 +151,6 @@ BuildContext Executor::MakeBuildContext(
   ctx.store = store_;
   ctx.cost = cost_;
   ctx.attach_work = options_.real_mode;
-  ctx.query_locality = options_.query_locality;
   ctx.kernel_mode = options_.kernel_mode;
   if (options_.real_mode) {
     ctx.prefetch_budget_bytes = options_.prefetch_budget_bytes;

@@ -29,9 +29,6 @@ struct ExecutorOptions {
   /// submission latency). Applied in both modes for comparability.
   double job_startup_seconds = 3.0;
 
-  /// Ask the store where input tiles live and prefer those machines.
-  bool query_locality = true;
-
   /// Delete `plan.temporaries` matrices after a successful run.
   bool drop_temporaries = true;
 

@@ -1,8 +1,9 @@
 #include "exec/physical_job.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "common/aligned_buffer.h"
@@ -38,32 +39,116 @@ std::vector<std::vector<TileId>> GroupTiles(const TileLayout& layout,
   return groups;
 }
 
-/// One operand tile the steps of an output tile read, with its serialized
-/// size.
-struct StepRead {
-  std::string matrix;
+/// One tile a task body reads: the stored matrix (an index into its
+/// frame's `matrices`) and tile id, the tile's serialized size, and whether
+/// the body reads it through the task's memo (TaskTileReader::ReadMemoized)
+/// or straight (Read).
+struct TileRead {
+  size_t matrix = 0;
   TileId id;
   int64_t bytes = 0;
+  bool memoized = false;
 };
 
-/// The operand tiles `steps` read for output tile `id` of `layout`, in
-/// read order and each once: full operands align 1:1, broadcast vectors
-/// collapse one axis, and a product step reads its factors L(i,0) and
-/// R(0,j). A tile two steps read is listed once, because the task's memo
-/// serves the second read (GNMF's W_i is a product factor and the next
-/// step's operand).
-std::vector<StepRead> StepReads(const std::vector<EwStep>& steps,
-                                const TileLayout& layout, TileId id) {
+/// A task's compute on its worker. `reader` has every listed read hinted;
+/// the body writes its output tiles to `store` from `machine`.
+using TaskBody = std::function<Status(TaskTileReader* reader, TileStore* store,
+                                      int machine, KernelMode mode)>;
+
+/// One task as its job lists it: the tiles its body reads, in read order
+/// and with repeats (a broadcast operand is listed for each output tile
+/// that reads it, though the memo fetches it once); the tiles it writes;
+/// its CPU seconds; and, in real mode, its body. The read list is both the
+/// task's hint sequence and the base of its declared bytes, so the two
+/// cannot drift apart. AddTask turns a frame into a Task.
+struct TaskFrame {
+  /// Index of `matrix` in `matrices`, added on first use.
+  size_t Matrix(const std::string& matrix) {
+    size_t m = 0;
+    while (m < matrices.size() && matrices[m] != matrix) ++m;
+    if (m == matrices.size()) matrices.push_back(matrix);
+    return m;
+  }
+
+  /// List the body's next reader->Read or reader->ReadMemoized: tile `id`
+  /// of matrix `m` (an index from Matrix), `bytes` serialized.
+  void Read(size_t m, TileId id, int64_t bytes) {
+    reads.push_back(TileRead{m, id, bytes, /*memoized=*/false});
+  }
+  void ReadMemoized(size_t m, TileId id, int64_t bytes) {
+    reads.push_back(TileRead{m, id, bytes, /*memoized=*/true});
+  }
+
+  /// Bytes the reader fetches for `reads` when nothing spills: each Read
+  /// entry whose tile is not pinned, and the first ReadMemoized entry of
+  /// each tile, which pins it.
+  int64_t FetchedBytes() const;
+
+  std::string name;
+  std::vector<std::string> matrices;  // the distinct matrices `reads` name
+  std::vector<TileRead> reads;
+  /// Leading reads whose replica holders the task prefers.
+  size_t locality_reads = 1;
+  std::vector<TileOutput> outputs;
+  double cpu_seconds_ref = 0.0;
+  TaskBody body;
+};
+
+int64_t TaskFrame::FetchedBytes() const {
+  // The optimizer runs this for every task of every plan it predicts. A
+  // task reads a block of each matrix, so a pinned bit per tile of the box
+  // bounding those reads is small, and much cheaper than a set of tiles.
+  struct Box {
+    int64_t row0 = INT64_MAX, col0 = INT64_MAX, row1 = -1, col1 = -1;
+    std::vector<bool> pinned;
+  };
+  std::vector<Box> boxes(matrices.size());
+  for (const TileRead& read : reads) {
+    Box& box = boxes[read.matrix];
+    box.row0 = std::min(box.row0, read.id.row);
+    box.col0 = std::min(box.col0, read.id.col);
+    box.row1 = std::max(box.row1, read.id.row);
+    box.col1 = std::max(box.col1, read.id.col);
+  }
+  for (Box& box : boxes) {
+    if (box.row1 < 0) continue;  // a matrix with no reads
+    box.pinned.resize((box.row1 - box.row0 + 1) * (box.col1 - box.col0 + 1));
+  }
+  int64_t bytes = 0;
+  for (const TileRead& read : reads) {
+    Box& box = boxes[read.matrix];
+    std::vector<bool>::reference pinned =
+        box.pinned[(read.id.row - box.row0) * (box.col1 - box.col0 + 1) +
+                   (read.id.col - box.col0)];
+    if (pinned) continue;
+    bytes += read.bytes;
+    if (read.memoized) pinned = true;
+  }
+  return bytes;
+}
+
+/// Appends what `steps` cost on output tile `id` of `layout` to `frame`:
+/// one element-wise pass per step, plus the multiply of a product step's
+/// factors; and the operand tiles the steps read, in step order and through
+/// the memo. Full operands align 1:1, broadcast vectors collapse one axis,
+/// and a product step reads its factors L(i,0) and R(0,j). A tile two steps
+/// read is listed once for this output tile (GNMF's W_i is a product factor
+/// and the next step's operand).
+void AddSteps(const std::vector<EwStep>& steps, const TileLayout& layout,
+              TileId id, const TileOpCostModel& cost, TaskFrame* frame) {
   const int64_t rows = layout.TileRowsAt(id.row);
   const int64_t cols = layout.TileColsAt(id.col);
-  std::vector<StepRead> reads;
-  auto add = [&reads](const std::string& matrix, TileId tile, int64_t bytes) {
-    for (const StepRead& read : reads) {
-      if (read.id == tile && read.matrix == matrix) return;
+  const size_t first = frame->reads.size();
+  auto add = [frame, first](const std::string& matrix, TileId tile,
+                            int64_t bytes) {
+    const size_t m = frame->Matrix(matrix);
+    for (size_t r = first; r < frame->reads.size(); ++r) {
+      if (frame->reads[r].matrix == m && frame->reads[r].id == tile) return;
     }
-    reads.push_back(StepRead{matrix, tile, bytes});
+    frame->ReadMemoized(m, tile, bytes);
   };
   for (const EwStep& step : steps) {
+    frame->cpu_seconds_ref += cost.EwSeconds(rows * cols);
     if (step.kind != EwStep::Kind::kBinary) continue;
     switch (step.operand) {
       case EwStep::Operand::kFull:
@@ -76,50 +161,11 @@ std::vector<StepRead> StepReads(const std::vector<EwStep>& steps,
         add(step.other_matrix, TileId{id.row, 0}, 16 + rows * 8);
         break;
       case EwStep::Operand::kProduct:
+        frame->cpu_seconds_ref += cost.GemmSeconds(rows, cols, step.inner);
         add(step.other_matrix, TileId{id.row, 0}, 16 + rows * step.inner * 8);
         add(step.right_factor, TileId{0, id.col}, 16 + step.inner * cols * 8);
         break;
     }
-  }
-  return reads;
-}
-
-/// The step-operand tiles one task has declared so far.
-using DeclaredReads = std::set<std::pair<std::string, TileId>>;
-
-/// CPU seconds and operand bytes of applying `steps` to one tile of
-/// `layout` at grid position (gr, gc); a product step also charges the
-/// multiply of its factor tiles. An operand tile is declared once per task,
-/// whichever of its output tiles reads it first, because the task's memo
-/// serves every later read: a broadcast vector or product factor that
-/// several output tiles share is read once. `declared` holds what this
-/// task declared so far.
-void AddEwStepsCost(const std::vector<EwStep>& steps, const TileLayout& layout,
-                    int64_t gr, int64_t gc, const TileOpCostModel& cost,
-                    DeclaredReads* declared, TaskCost* task_cost) {
-  const int64_t rows = layout.TileRowsAt(gr);
-  const int64_t cols = layout.TileColsAt(gc);
-  for (const EwStep& step : steps) {
-    task_cost->cpu_seconds_ref += cost.EwSeconds(rows * cols);
-    if (step.kind == EwStep::Kind::kBinary &&
-        step.operand == EwStep::Operand::kProduct) {
-      task_cost->cpu_seconds_ref += cost.GemmSeconds(rows, cols, step.inner);
-    }
-  }
-  for (const StepRead& read : StepReads(steps, layout, TileId{gr, gc})) {
-    if (declared->emplace(read.matrix, read.id).second) {
-      task_cost->bytes_read += read.bytes;
-    }
-  }
-}
-
-/// Declares the operand reads RunEwSteps will issue for output tile `id`
-/// to the prefetch pipeline, in step order.
-void HintEwStepOperands(const std::vector<EwStep>& steps,
-                        const TileLayout& layout, TileId id,
-                        TaskTileReader* reader) {
-  for (const StepRead& read : StepReads(steps, layout, id)) {
-    reader->Hint(read.matrix, read.id, read.bytes);
   }
 }
 
@@ -177,6 +223,49 @@ void MergePreferred(std::vector<int>* dst, const std::vector<int>& src,
       dst->push_back(node);
     }
   }
+}
+
+/// Appends `frame` to `built` as a task and returns it, for the job's own
+/// model terms. The task declares the frame's FetchedBytes, its outputs'
+/// bytes and its CPU seconds, and prefers the machines that hold its first
+/// `locality_reads` reads. In real mode its work opens the task's reader on
+/// the node's memory ledger, hints the read list in order and runs the
+/// body.
+Task& AddTask(const BuildContext& ctx, TaskFrame frame, BuiltJob* built) {
+  Task task;
+  task.name = std::move(frame.name);
+  task.cost.cpu_seconds_ref = frame.cpu_seconds_ref;
+  task.cost.bytes_read = frame.FetchedBytes();
+  for (const TileOutput& output : frame.outputs) {
+    task.cost.bytes_written += output.bytes;
+  }
+  if (ctx.store != nullptr) {
+    for (size_t r = 0; r < frame.locality_reads && r < frame.reads.size();
+         ++r) {
+      const TileRead& read = frame.reads[r];
+      MergePreferred(&task.preferred_machines,
+                     ctx.store->PreferredNodes(frame.matrices[read.matrix],
+                                               read.id));
+    }
+  }
+  if (ctx.attach_work) {
+    task.work = [store = ctx.store, matrices = std::move(frame.matrices),
+                 reads = std::move(frame.reads), body = std::move(frame.body),
+                 budget = ctx.prefetch_budget_bytes, mode = ctx.kernel_mode,
+                 mem = ctx.memory_budget,
+                 pin_bytes = ctx.task_pin_bytes](int machine) -> Status {
+      TaskTileReader reader(store, machine, budget,
+                            mem != nullptr ? mem->node(machine) : nullptr,
+                            pin_bytes);
+      for (const TileRead& read : reads) {
+        reader.Hint(matrices[read.matrix], read.id, read.bytes);
+      }
+      return body(&reader, store, machine, mode);
+    };
+  }
+  built->spec.tasks.push_back(std::move(task));
+  built->task_outputs.push_back(std::move(frame.outputs));
+  return built->spec.tasks.back();
 }
 
 /// Appends the matrices `steps` read: each binary step's operand, and both
@@ -342,30 +431,77 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
     const int64_t k1 = std::min(k0 + bk, gk);
     const std::string out_name =
         nk == 1 ? out_.name : PartialName(out_.name, kb);
-    const bool apply_epilogue = (nk == 1) && !epilogue_.empty();
+    const std::vector<EwStep> epilogue =
+        nk == 1 ? epilogue_ : std::vector<EwStep>{};
 
     for (int64_t ib = 0; ib < gi; ib += bi) {
       const int64_t i1 = std::min(ib + bi, gi);
       for (int64_t jb = 0; jb < gj; jb += bj) {
         const int64_t j1 = std::min(jb + bj, gj);
 
-        Task task;
-        task.name = StrCat(name_, "/t", ib, "_", jb, "_", kb);
-        std::vector<TileOutput> outputs;
-
-        // --- Declared cost ---
+        // Per output tile (i,j): its k range of A and B tiles, then the
+        // epilogue's operands. A and B tiles recur across the block (A per
+        // j, B per i), so they go through the memo, which bounds the
+        // task's live set to the bi*bk + bk*bj tiles TaskMemoryBytes
+        // budgets for (or, under a memory budget, to the pin window: older
+        // panels spill and stream back in). Operand tiles are read under
+        // their stored ids: (k,i) for a transposed A.
+        TaskFrame frame;
+        frame.name = StrCat(name_, "/t", ib, "_", jb, "_", kb);
+        frame.locality_reads = 2;  // the block's first A and first B tile
+        const size_t a_matrix = frame.Matrix(a_.stored.name);
+        const size_t b_matrix = frame.Matrix(b_.stored.name);
+        frame.reads.reserve(2 * (i1 - ib) * (j1 - jb) * (k1 - k0));
         int64_t a_bytes = 0, b_bytes = 0;
         for (int64_t i = ib; i < i1; ++i) {
-          for (int64_t k = k0; k < k1; ++k) {
-            a_bytes += TileBytes(la, i, k);
-          }
-        }
-        for (int64_t k = k0; k < k1; ++k) {
           for (int64_t j = jb; j < j1; ++j) {
-            b_bytes += TileBytes(lb, k, j);
+            for (int64_t k = k0; k < k1; ++k) {
+              const int64_t a_tile = TileBytes(la, i, k);
+              const int64_t b_tile = TileBytes(lb, k, j);
+              if (j == jb) a_bytes += a_tile;
+              if (i == ib) b_bytes += b_tile;
+              frame.ReadMemoized(a_matrix, a_.StoredId(i, k), a_tile);
+              frame.ReadMemoized(b_matrix, b_.StoredId(k, j), b_tile);
+              frame.cpu_seconds_ref += ctx.cost->GemmSeconds(
+                  lc.TileRowsAt(i), lc.TileColsAt(j), la.TileColsAt(k));
+            }
+            AddSteps(epilogue, lc, TileId{i, j}, *ctx.cost, &frame);
+            frame.outputs.push_back(
+                TileOutput{out_name, TileId{i, j}, TileBytes(lc, i, j)});
           }
         }
-        task.cost.bytes_read += a_bytes + b_bytes;
+        if (ctx.attach_work) {
+          frame.body = [a = a_, b = b_, lc, out_name, epilogue, ib, i1, jb, j1,
+                        k0, k1](TaskTileReader* reader, TileStore* store,
+                                int machine, KernelMode mode) -> Status {
+            for (int64_t i = ib; i < i1; ++i) {
+              for (int64_t j = jb; j < j1; ++j) {
+                Tile acc(lc.TileRowsAt(i), lc.TileColsAt(j));
+                const TaskTileReader::ScratchReservation scratch =
+                    reader->PinScratch(acc.MemoryBytes());
+                for (int64_t k = k0; k < k1; ++k) {
+                  CUMULON_ASSIGN_OR_RETURN(
+                      std::shared_ptr<const Tile> ta,
+                      reader->ReadMemoized(a.stored.name, a.StoredId(i, k)));
+                  CUMULON_ASSIGN_OR_RETURN(
+                      std::shared_ptr<const Tile> tb,
+                      reader->ReadMemoized(b.stored.name, b.StoredId(k, j)));
+                  CUMULON_RETURN_IF_ERROR(GemmWithMode(mode, *ta, *tb, 1.0, 1.0,
+                                                       &acc, a.orientation,
+                                                       b.orientation));
+                }
+                CUMULON_RETURN_IF_ERROR(
+                    RunEwSteps(epilogue, reader, TileId{i, j}, &acc, mode));
+                CUMULON_RETURN_IF_ERROR(store->Put(
+                    out_name, TileId{i, j},
+                    std::make_shared<Tile>(std::move(acc)), machine));
+              }
+            }
+            return Status::OK();
+          };
+        }
+
+        Task& task = AddTask(ctx, std::move(frame), &built);
         task.cost.bytes_read_cached = static_cast<int64_t>(
             a_bytes * a_hit_frac + b_bytes * b_hit_frac);
         if (ctx.task_pin_bytes > 0) {
@@ -381,108 +517,6 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
               StreamingRefetchBytes(b_bytes, static_cast<double>(i1 - ib),
                                     working_set, ctx.task_pin_bytes));
         }
-        DeclaredReads step_reads;
-        for (int64_t i = ib; i < i1; ++i) {
-          for (int64_t j = jb; j < j1; ++j) {
-            const int64_t mi = lc.TileRowsAt(i);
-            const int64_t nj = lc.TileColsAt(j);
-            for (int64_t k = k0; k < k1; ++k) {
-              task.cost.cpu_seconds_ref +=
-                  ctx.cost->GemmSeconds(mi, nj, la.TileColsAt(k));
-            }
-            if (apply_epilogue) {
-              AddEwStepsCost(epilogue_, lc, i, j, *ctx.cost, &step_reads,
-                             &task.cost);
-            }
-            const int64_t out_bytes = TileBytes(lc, i, j);
-            task.cost.bytes_written += out_bytes;
-            outputs.push_back(TileOutput{out_name, TileId{i, j}, out_bytes});
-          }
-        }
-
-        // --- Locality preference: where this task's inputs live ---
-        if (ctx.query_locality && ctx.store != nullptr) {
-          MergePreferred(&task.preferred_machines,
-                         ctx.store->PreferredNodes(a_.stored.name,
-                                                   a_.StoredId(ib, k0)));
-          MergePreferred(&task.preferred_machines,
-                         ctx.store->PreferredNodes(b_.stored.name,
-                                                   b_.StoredId(k0, jb)));
-        }
-
-        // --- Real-mode work closure ---
-        if (ctx.attach_work) {
-          TileStore* store = ctx.store;
-          // Capture everything by value; the job object may not outlive
-          // the engine run in all call patterns.
-          const MatMulOperand a = a_;
-          const MatMulOperand b = b_;
-          const TileLayout a_layout = la;
-          const TileLayout b_layout = lb;
-          const TileLayout out_layout = lc;
-          const std::vector<EwStep> epilogue =
-              apply_epilogue ? epilogue_ : std::vector<EwStep>{};
-          const int64_t budget = ctx.prefetch_budget_bytes;
-          const KernelMode kmode = ctx.kernel_mode;
-          MemoryBudgetGroup* const mem = ctx.memory_budget;
-          const int64_t pin_bytes = ctx.task_pin_bytes;
-          task.work = [store, a, b, a_layout, b_layout, out_layout, out_name,
-                       epilogue, ib, i1, jb, j1, k0, k1, budget, kmode, mem,
-                       pin_bytes](int machine) -> Status {
-            MemoryBudget* const ledger =
-                mem != nullptr ? mem->node(machine) : nullptr;
-            // One task-wide double-buffered reader. Hint every read in
-            // compute order, then compute — output block (i,j+1)'s tiles
-            // download while (i,j) multiplies. A and B tiles recur across
-            // the block (A per j, B per i), so they go through the memo,
-            // which bounds the task's live set to exactly the bi*bk + bk*bj
-            // tiles TaskMemoryBytes budgets for (or, under a memory budget,
-            // to the pin window — older panels spill and stream back in).
-            // Operand tiles are hinted, memoized and read under their
-            // stored ids: (k,i) for a transposed A.
-            TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-            for (int64_t i = ib; i < i1; ++i) {
-              for (int64_t j = jb; j < j1; ++j) {
-                for (int64_t k = k0; k < k1; ++k) {
-                  reader.Hint(a.stored.name, a.StoredId(i, k),
-                              TileBytes(a_layout, i, k));
-                  reader.Hint(b.stored.name, b.StoredId(k, j),
-                              TileBytes(b_layout, k, j));
-                }
-                HintEwStepOperands(epilogue, out_layout, TileId{i, j},
-                                   &reader);
-              }
-            }
-            for (int64_t i = ib; i < i1; ++i) {
-              for (int64_t j = jb; j < j1; ++j) {
-                Tile acc(out_layout.TileRowsAt(i), out_layout.TileColsAt(j));
-                const TaskTileReader::ScratchReservation scratch =
-                    reader.PinScratch(acc.MemoryBytes());
-                for (int64_t k = k0; k < k1; ++k) {
-                  CUMULON_ASSIGN_OR_RETURN(
-                      std::shared_ptr<const Tile> ta,
-                      reader.ReadMemoized(a.stored.name, a.StoredId(i, k)));
-                  CUMULON_ASSIGN_OR_RETURN(
-                      std::shared_ptr<const Tile> tb,
-                      reader.ReadMemoized(b.stored.name, b.StoredId(k, j)));
-                  CUMULON_RETURN_IF_ERROR(GemmWithMode(
-                      kmode, *ta, *tb, 1.0, 1.0, &acc, a.orientation,
-                      b.orientation));
-                }
-                CUMULON_RETURN_IF_ERROR(RunEwSteps(epilogue, &reader,
-                                                   TileId{i, j}, &acc, kmode));
-                CUMULON_RETURN_IF_ERROR(
-                    store->Put(out_name, TileId{i, j},
-                               std::make_shared<Tile>(std::move(acc)),
-                               machine));
-              }
-            }
-            return Status::OK();
-          };
-        }
-
-        built.spec.tasks.push_back(std::move(task));
-        built.task_outputs.push_back(std::move(outputs));
       }
     }
   }
@@ -565,75 +599,41 @@ Result<BuiltJob> RowPanelJob::Build(const BuildContext& ctx) const {
   for (int64_t i0 = 0, p = 0; i0 < gi; i0 += kPanelsPerTask, ++p) {
     const int64_t i1 = std::min(i0 + kPanelsPerTask, gi);
     const std::string out_name = MatMulJob::PartialName(out_.name, p);
-    Task task;
-    task.name = StrCat(name_, "/t", p);
-    std::vector<TileOutput> outputs;
 
-    // --- Declared cost: X's panels and V once, f's operands, both
-    // multiplies, and one partial of Z ---
+    // Per panel X_i: its tiles with V's for U_i, then f's operands; both
+    // multiplies and f are charged. X and V go through the memo: each X
+    // tile is read for U_i and again, transposed, for Z (a pass the memo
+    // serves, so it is not listed), and V recurs for every panel.
+    TaskFrame frame;
+    frame.name = StrCat(name_, "/t", p);
+    const size_t x_matrix = frame.Matrix(x_.name);
+    const size_t v_matrix = frame.Matrix(v_.name);
     int64_t x_bytes = 0, panel_bytes = 0;
-    DeclaredReads step_reads;
     for (int64_t i = i0; i < i1; ++i) {
       int64_t this_panel = 0;
       for (int64_t k = 0; k < gk; ++k) {
         this_panel += TileBytes(lx, i, k);
-        task.cost.cpu_seconds_ref +=
+        frame.ReadMemoized(x_matrix, TileId{i, k}, TileBytes(lx, i, k));
+        frame.ReadMemoized(v_matrix, TileId{k, 0}, TileBytes(lv, k, 0));
+        frame.cpu_seconds_ref +=
             ctx.cost->GemmSeconds(lu.TileRowsAt(i), lu.TileColsAt(0),
                                   lx.TileColsAt(k)) +
             ctx.cost->GemmSeconds(lz.TileRowsAt(k), lz.TileColsAt(0),
                                   lx.TileRowsAt(i));
       }
-      AddEwStepsCost(steps_, lu, i, 0, *ctx.cost, &step_reads, &task.cost);
+      AddSteps(steps_, lu, TileId{i, 0}, *ctx.cost, &frame);
       x_bytes += this_panel;
       panel_bytes = std::max(panel_bytes, this_panel);
     }
-    task.cost.bytes_read += x_bytes + v_bytes;
-    if (ctx.task_pin_bytes > 0) {
-      // Out-of-core streaming term: each X tile is touched twice per
-      // panel (for U_i, then transposed for Z) and V once per panel.
-      const int64_t working_set =
-          panel_bytes + v_bytes + z_bytes + TileBytes(lu, i0, 0);
-      task.cost.bytes_read += static_cast<int64_t>(
-          StreamingRefetchBytes(x_bytes, 2.0, working_set,
-                                ctx.task_pin_bytes) +
-          StreamingRefetchBytes(v_bytes, static_cast<double>(i1 - i0),
-                                working_set, ctx.task_pin_bytes));
-    }
-    task.cost.bytes_written += z_bytes;
     for (int64_t k = 0; k < gk; ++k) {
-      outputs.push_back(
+      frame.outputs.push_back(
           TileOutput{out_name, TileId{k, 0}, TileBytes(lz, k, 0)});
     }
-
-    if (ctx.query_locality && ctx.store != nullptr) {
-      MergePreferred(&task.preferred_machines,
-                     ctx.store->PreferredNodes(x_.name, TileId{i0, 0}));
-    }
-
     if (ctx.attach_work) {
-      TileStore* store = ctx.store;
-      const std::string x_name = x_.name;
-      const std::string v_name = v_.name;
-      const std::vector<EwStep> steps = steps_;
-      const int64_t budget = ctx.prefetch_budget_bytes;
-      const KernelMode kmode = ctx.kernel_mode;
-      MemoryBudgetGroup* const mem = ctx.memory_budget;
-      const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, x_name, v_name, steps, lx, lv, lu, lz, out_name, i0,
-                   i1, gk, budget, kmode, mem,
-                   pin_bytes](int machine) -> Status {
-        MemoryBudget* const ledger =
-            mem != nullptr ? mem->node(machine) : nullptr;
-        // X and V tiles go through the memo: each X tile is read for U_i
-        // and again, transposed, for Z; V recurs for every panel.
-        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-        for (int64_t i = i0; i < i1; ++i) {
-          for (int64_t k = 0; k < gk; ++k) {
-            reader.Hint(x_name, TileId{i, k}, TileBytes(lx, i, k));
-            reader.Hint(v_name, TileId{k, 0}, TileBytes(lv, k, 0));
-          }
-          HintEwStepOperands(steps, lu, TileId{i, 0}, &reader);
-        }
+      frame.body = [x_name = x_.name, v_name = v_.name, steps = steps_, lu, lz,
+                    out_name, i0, i1, gk](TaskTileReader* reader,
+                                          TileStore* store, int machine,
+                                          KernelMode mode) -> Status {
         std::vector<Tile> z;
         z.reserve(gk);
         int64_t z_memory = 0;
@@ -642,29 +642,27 @@ Result<BuiltJob> RowPanelJob::Build(const BuildContext& ctx) const {
           z_memory += z.back().MemoryBytes();
         }
         const TaskTileReader::ScratchReservation z_scratch =
-            reader.PinScratch(z_memory);
+            reader->PinScratch(z_memory);
         for (int64_t i = i0; i < i1; ++i) {
           Tile u(lu.TileRowsAt(i), lu.TileColsAt(0));
           const TaskTileReader::ScratchReservation u_scratch =
-              reader.PinScratch(u.MemoryBytes());
+              reader->PinScratch(u.MemoryBytes());
           for (int64_t k = 0; k < gk; ++k) {
             CUMULON_ASSIGN_OR_RETURN(
                 std::shared_ptr<const Tile> tx,
-                reader.ReadMemoized(x_name, TileId{i, k}));
+                reader->ReadMemoized(x_name, TileId{i, k}));
             CUMULON_ASSIGN_OR_RETURN(
                 std::shared_ptr<const Tile> tv,
-                reader.ReadMemoized(v_name, TileId{k, 0}));
-            CUMULON_RETURN_IF_ERROR(
-                GemmWithMode(kmode, *tx, *tv, 1.0, 1.0, &u));
+                reader->ReadMemoized(v_name, TileId{k, 0}));
+            CUMULON_RETURN_IF_ERROR(GemmWithMode(mode, *tx, *tv, 1.0, 1.0, &u));
           }
           CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(steps, &reader, TileId{i, 0}, &u, kmode));
+              RunEwSteps(steps, reader, TileId{i, 0}, &u, mode));
           for (int64_t k = 0; k < gk; ++k) {
             CUMULON_ASSIGN_OR_RETURN(
                 std::shared_ptr<const Tile> tx,
-                reader.ReadMemoized(x_name, TileId{i, k}));
-            CUMULON_RETURN_IF_ERROR(GemmWithMode(kmode, *tx, u, 1.0, 1.0,
-                                                 &z[k],
+                reader->ReadMemoized(x_name, TileId{i, k}));
+            CUMULON_RETURN_IF_ERROR(GemmWithMode(mode, *tx, u, 1.0, 1.0, &z[k],
                                                  Orientation::kTransposed));
           }
         }
@@ -677,8 +675,18 @@ Result<BuiltJob> RowPanelJob::Build(const BuildContext& ctx) const {
       };
     }
 
-    built.spec.tasks.push_back(std::move(task));
-    built.task_outputs.push_back(std::move(outputs));
+    Task& task = AddTask(ctx, std::move(frame), &built);
+    if (ctx.task_pin_bytes > 0) {
+      // Out-of-core streaming term: each X tile is touched twice per
+      // panel (for U_i, then transposed for Z) and V once per panel.
+      const int64_t working_set =
+          panel_bytes + v_bytes + z_bytes + TileBytes(lu, i0, 0);
+      task.cost.bytes_read += static_cast<int64_t>(
+          StreamingRefetchBytes(x_bytes, 2.0, working_set,
+                                ctx.task_pin_bytes) +
+          StreamingRefetchBytes(v_bytes, static_cast<double>(i1 - i0),
+                                working_set, ctx.task_pin_bytes));
+    }
   }
   return built;
 }
@@ -723,71 +731,42 @@ Result<BuiltJob> SumJob::Build(const BuildContext& ctx) const {
   built.spec.name = name_;
 
   for (auto& group : GroupTiles(lc, tiles_per_task_)) {
-    Task task;
-    task.name = StrCat(name_, "/t", built.spec.tasks.size());
-    std::vector<TileOutput> outputs;
-
-    DeclaredReads step_reads;
+    TaskFrame frame;
+    frame.name = StrCat(name_, "/t", built.spec.tasks.size());
     for (const TileId& id : group) {
       const int64_t bytes = TileBytes(lc, id.row, id.col);
-      task.cost.bytes_read += bytes * static_cast<int64_t>(parts_.size());
-      task.cost.cpu_seconds_ref +=
+      for (const std::string& part : parts_) {
+        frame.Read(frame.Matrix(part), id, bytes);
+      }
+      frame.cpu_seconds_ref +=
           static_cast<double>(parts_.size()) *
           ctx.cost->AccumulateSeconds(lc.TileRowsAt(id.row) *
                                       lc.TileColsAt(id.col));
-      AddEwStepsCost(epilogue_, lc, id.row, id.col, *ctx.cost, &step_reads,
-                     &task.cost);
-      task.cost.bytes_written += bytes;
-      outputs.push_back(TileOutput{out_.name, id, bytes});
+      AddSteps(epilogue_, lc, id, *ctx.cost, &frame);
+      frame.outputs.push_back(TileOutput{out_.name, id, bytes});
     }
-
-    if (ctx.query_locality && ctx.store != nullptr) {
-      MergePreferred(&task.preferred_machines,
-                     ctx.store->PreferredNodes(parts_[0], group.front()));
-    }
-
     if (ctx.attach_work) {
-      TileStore* store = ctx.store;
-      const std::vector<std::string> parts = parts_;
-      const std::string out_name = out_.name;
-      const TileLayout out_layout = lc;
-      const std::vector<EwStep> epilogue = epilogue_;
-      const int64_t budget = ctx.prefetch_budget_bytes;
-      const KernelMode kmode = ctx.kernel_mode;
-      MemoryBudgetGroup* const mem = ctx.memory_budget;
-      const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, parts, out_name, out_layout, epilogue, group,
-                   budget, kmode, mem, pin_bytes](int machine) -> Status {
-        MemoryBudget* const ledger =
-            mem != nullptr ? mem->node(machine) : nullptr;
-        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
+      frame.body = [parts = parts_, out_name = out_.name, lc,
+                    epilogue = epilogue_,
+                    group](TaskTileReader* reader, TileStore* store,
+                           int machine, KernelMode mode) -> Status {
         for (const TileId& id : group) {
-          for (const std::string& part : parts) {
-            reader.Hint(part, id, TileBytes(out_layout, id.row, id.col));
-          }
-          HintEwStepOperands(epilogue, out_layout, id, &reader);
-        }
-        for (const TileId& id : group) {
-          Tile acc(out_layout.TileRowsAt(id.row),
-                   out_layout.TileColsAt(id.col));
+          Tile acc(lc.TileRowsAt(id.row), lc.TileColsAt(id.col));
           const TaskTileReader::ScratchReservation scratch =
-              reader.PinScratch(2 * acc.MemoryBytes());
+              reader->PinScratch(2 * acc.MemoryBytes());
           for (const std::string& part : parts) {
             CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const Tile> t,
-                                     reader.Read(part, id));
-            CUMULON_RETURN_IF_ERROR(AccumulateIntoWithMode(kmode, *t, &acc));
+                                     reader->Read(part, id));
+            CUMULON_RETURN_IF_ERROR(AccumulateIntoWithMode(mode, *t, &acc));
           }
-          CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(epilogue, &reader, id, &acc, kmode));
+          CUMULON_RETURN_IF_ERROR(RunEwSteps(epilogue, reader, id, &acc, mode));
           CUMULON_RETURN_IF_ERROR(store->Put(
               out_name, id, std::make_shared<Tile>(std::move(acc)), machine));
         }
         return Status::OK();
       };
     }
-
-    built.spec.tasks.push_back(std::move(task));
-    built.task_outputs.push_back(std::move(outputs));
+    AddTask(ctx, std::move(frame), &built);
   }
   return built;
 }
@@ -830,64 +809,35 @@ Result<BuiltJob> EwChainJob::Build(const BuildContext& ctx) const {
   built.spec.name = name_;
 
   for (auto& group : GroupTiles(lc, tiles_per_task_)) {
-    Task task;
-    task.name = StrCat(name_, "/t", built.spec.tasks.size());
-    std::vector<TileOutput> outputs;
-
-    DeclaredReads step_reads;
+    TaskFrame frame;
+    frame.name = StrCat(name_, "/t", built.spec.tasks.size());
+    const size_t in_matrix = frame.Matrix(in_.name);
     for (const TileId& id : group) {
       const int64_t bytes = TileBytes(lc, id.row, id.col);
-      task.cost.bytes_read += bytes;
-      AddEwStepsCost(steps_, lc, id.row, id.col, *ctx.cost, &step_reads,
-                     &task.cost);
-      task.cost.bytes_written += bytes;
-      outputs.push_back(TileOutput{out_.name, id, bytes});
+      frame.Read(in_matrix, id, bytes);
+      AddSteps(steps_, lc, id, *ctx.cost, &frame);
+      frame.outputs.push_back(TileOutput{out_.name, id, bytes});
     }
-
-    if (ctx.query_locality && ctx.store != nullptr) {
-      MergePreferred(&task.preferred_machines,
-                     ctx.store->PreferredNodes(in_.name, group.front()));
-    }
-
     if (ctx.attach_work) {
-      TileStore* store = ctx.store;
-      const std::string in_name = in_.name;
-      const std::string out_name = out_.name;
-      const TileLayout out_layout = lc;
-      const std::vector<EwStep> steps = steps_;
-      const int64_t budget = ctx.prefetch_budget_bytes;
-      const KernelMode kmode = ctx.kernel_mode;
-      MemoryBudgetGroup* const mem = ctx.memory_budget;
-      const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, in_name, out_name, out_layout, steps, group,
-                   budget, kmode, mem, pin_bytes](int machine) -> Status {
-        MemoryBudget* const ledger =
-            mem != nullptr ? mem->node(machine) : nullptr;
-        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-        for (const TileId& id : group) {
-          reader.Hint(in_name, id, TileBytes(out_layout, id.row, id.col));
-          HintEwStepOperands(steps, out_layout, id, &reader);
-        }
+      frame.body = [in_name = in_.name, out_name = out_.name, steps = steps_,
+                    group](TaskTileReader* reader, TileStore* store,
+                           int machine, KernelMode mode) -> Status {
         for (const TileId& id : group) {
           CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const Tile> t,
-                                   reader.Read(in_name, id));
+                                   reader->Read(in_name, id));
           Tile value = *t;
           // Scratch covers the working copy plus the transient input tile
           // still alive in `t`.
           const TaskTileReader::ScratchReservation scratch =
-              reader.PinScratch(2 * value.MemoryBytes());
-          CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(steps, &reader, id, &value, kmode));
-          CUMULON_RETURN_IF_ERROR(
-              store->Put(out_name, id,
-                         std::make_shared<Tile>(std::move(value)), machine));
+              reader->PinScratch(2 * value.MemoryBytes());
+          CUMULON_RETURN_IF_ERROR(RunEwSteps(steps, reader, id, &value, mode));
+          CUMULON_RETURN_IF_ERROR(store->Put(
+              out_name, id, std::make_shared<Tile>(std::move(value)), machine));
         }
         return Status::OK();
       };
     }
-
-    built.spec.tasks.push_back(std::move(task));
-    built.task_outputs.push_back(std::move(outputs));
+    AddTask(ctx, std::move(frame), &built);
   }
   return built;
 }
@@ -957,72 +907,37 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
   built.spec.name = name_;
   for (int64_t s0 = 0; s0 < num_stripes; s0 += stripes_per_task_) {
     const int64_t s1 = std::min(s0 + stripes_per_task_, num_stripes);
-    Task task;
-    task.name = StrCat(name_, "/t", s0);
-    std::vector<TileOutput> outputs;
-    DeclaredReads step_reads;
+    // One output stripe s per step (row sums: grid row; col sums: grid
+    // column), reading its full cross range of input tiles.
+    TaskFrame frame;
+    frame.name = StrCat(name_, "/t", s0);
+    const size_t in_matrix = frame.Matrix(in_.name);
     for (int64_t s = s0; s < s1; ++s) {
       for (int64_t x = 0; x < cross; ++x) {
-        const int64_t gr = row_sums ? s : x;
-        const int64_t gc = row_sums ? x : s;
-        task.cost.bytes_read += TileBytes(li, gr, gc);
-        task.cost.cpu_seconds_ref +=
-            ctx.cost->EwSeconds(li.TileRowsAt(gr) * li.TileColsAt(gc));
+        const TileId in_id = row_sums ? TileId{s, x} : TileId{x, s};
+        frame.Read(in_matrix, in_id, TileBytes(li, in_id.row, in_id.col));
+        frame.cpu_seconds_ref += ctx.cost->EwSeconds(
+            li.TileRowsAt(in_id.row) * li.TileColsAt(in_id.col));
       }
       const TileId out_id = row_sums ? TileId{s, 0} : TileId{0, s};
-      AddEwStepsCost(epilogue_, lo, out_id.row, out_id.col, *ctx.cost,
-                     &step_reads, &task.cost);
-      const int64_t out_bytes = TileBytes(lo, out_id.row, out_id.col);
-      task.cost.bytes_written += out_bytes;
-      outputs.push_back(TileOutput{out_.name, out_id, out_bytes});
+      AddSteps(epilogue_, lo, out_id, *ctx.cost, &frame);
+      frame.outputs.push_back(TileOutput{
+          out_.name, out_id, TileBytes(lo, out_id.row, out_id.col)});
     }
-
-    if (ctx.query_locality && ctx.store != nullptr) {
-      const TileId first = row_sums ? TileId{s0, 0} : TileId{0, s0};
-      MergePreferred(&task.preferred_machines,
-                     ctx.store->PreferredNodes(in_.name, first));
-    }
-
     if (ctx.attach_work) {
-      TileStore* store = ctx.store;
-      const std::string in_name = in_.name;
-      const std::string out_name = out_.name;
-      const TileLayout in_layout = li;
-      const TileLayout out_layout = lo;
-      const std::vector<EwStep> epilogue = epilogue_;
-      const bool rows_mode = row_sums;
-      const int64_t budget = ctx.prefetch_budget_bytes;
-      const KernelMode kmode = ctx.kernel_mode;
-      MemoryBudgetGroup* const mem = ctx.memory_budget;
-      const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, in_name, out_name, in_layout, out_layout, epilogue,
-                   rows_mode, s0, s1, cross, budget, kmode, mem,
-                   pin_bytes](int machine) -> Status {
-        MemoryBudget* const ledger =
-            mem != nullptr ? mem->node(machine) : nullptr;
-        // One output stripe s per step (row sums: grid row; col sums: grid
-        // column), reading its full cross range of input tiles.
-        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
+      frame.body = [in_name = in_.name, out_name = out_.name, li, lo,
+                    epilogue = epilogue_, row_sums, s0, s1,
+                    cross](TaskTileReader* reader, TileStore* store,
+                           int machine, KernelMode mode) -> Status {
         for (int64_t s = s0; s < s1; ++s) {
-          for (int64_t x = 0; x < cross; ++x) {
-            const TileId in_id = rows_mode ? TileId{s, x} : TileId{x, s};
-            reader.Hint(in_name, in_id,
-                        TileBytes(in_layout, in_id.row, in_id.col));
-          }
-          const TileId out_id = rows_mode ? TileId{s, 0} : TileId{0, s};
-          HintEwStepOperands(epilogue, out_layout, out_id, &reader);
-        }
-        for (int64_t s = s0; s < s1; ++s) {
-          const TileId out_id = rows_mode ? TileId{s, 0} : TileId{0, s};
-          Tile acc(out_layout.TileRowsAt(out_id.row),
-                   out_layout.TileColsAt(out_id.col));
+          const TileId out_id = row_sums ? TileId{s, 0} : TileId{0, s};
+          Tile acc(lo.TileRowsAt(out_id.row), lo.TileColsAt(out_id.col));
           // Scratch covers the accumulator, the per-chunk partial, and the
           // transient input tile being reduced.
           const TaskTileReader::ScratchReservation scratch =
-              reader.PinScratch(
+              reader->PinScratch(
                   2 * acc.MemoryBytes() +
-                  AlignedFootprintBytes(in_layout.tile_rows() *
-                                        in_layout.tile_cols() * 8));
+                  AlignedFootprintBytes(li.tile_rows() * li.tile_cols() * 8));
           // Panel-partial reduction (tile_ops.h): each kAggPanelTiles-wide
           // panel folds into a zero partial, combined left-to-right into
           // acc. Panel width is a constant, so resident and streamed runs
@@ -1031,18 +946,18 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
             const int64_t x1 = std::min(x0 + kAggPanelTiles, cross);
             Tile partial(acc.rows(), acc.cols());
             for (int64_t x = x0; x < x1; ++x) {
-              const TileId in_id = rows_mode ? TileId{s, x} : TileId{x, s};
+              const TileId in_id = row_sums ? TileId{s, x} : TileId{x, s};
               CUMULON_ASSIGN_OR_RETURN(std::shared_ptr<const Tile> t,
-                                       reader.Read(in_name, in_id));
+                                       reader->Read(in_name, in_id));
               CUMULON_RETURN_IF_ERROR(
-                  rows_mode ? RowSumsPartialInto(*t, &partial)
-                            : ColSumsIntoWithMode(kmode, *t, &partial));
+                  row_sums ? RowSumsPartialInto(*t, &partial)
+                           : ColSumsIntoWithMode(mode, *t, &partial));
             }
             CUMULON_RETURN_IF_ERROR(
-                CombineAggPartialWithMode(kmode, partial, &acc));
+                CombineAggPartialWithMode(mode, partial, &acc));
           }
           CUMULON_RETURN_IF_ERROR(
-              RunEwSteps(epilogue, &reader, out_id, &acc, kmode));
+              RunEwSteps(epilogue, reader, out_id, &acc, mode));
           CUMULON_RETURN_IF_ERROR(store->Put(
               out_name, out_id, std::make_shared<Tile>(std::move(acc)),
               machine));
@@ -1050,9 +965,7 @@ Result<BuiltJob> AggregateJob::Build(const BuildContext& ctx) const {
         return Status::OK();
       };
     }
-
-    built.spec.tasks.push_back(std::move(task));
-    built.task_outputs.push_back(std::move(outputs));
+    AddTask(ctx, std::move(frame), &built);
   }
   return built;
 }
@@ -1091,65 +1004,39 @@ Result<BuiltJob> TransposeJob::Build(const BuildContext& ctx) const {
   built.spec.name = name_;
 
   for (auto& group : GroupTiles(lc, tiles_per_task_)) {
-    Task task;
-    task.name = StrCat(name_, "/t", built.spec.tasks.size());
-    std::vector<TileOutput> outputs;
-
+    TaskFrame frame;
+    frame.name = StrCat(name_, "/t", built.spec.tasks.size());
+    const size_t in_matrix = frame.Matrix(in_.name);
     for (const TileId& id : group) {
+      // Input tile (j,i) has the transposed shape of output (i,j), which
+      // is the same serialized size.
       const int64_t bytes = TileBytes(lc, id.row, id.col);
-      task.cost.bytes_read += bytes;
-      task.cost.cpu_seconds_ref += ctx.cost->TransposeSeconds(
+      frame.Read(in_matrix, TileId{id.col, id.row}, bytes);
+      frame.cpu_seconds_ref += ctx.cost->TransposeSeconds(
           lc.TileRowsAt(id.row) * lc.TileColsAt(id.col));
-      task.cost.bytes_written += bytes;
-      outputs.push_back(TileOutput{out_.name, id, bytes});
+      frame.outputs.push_back(TileOutput{out_.name, id, bytes});
     }
-
-    if (ctx.query_locality && ctx.store != nullptr) {
-      const TileId src{group.front().col, group.front().row};
-      MergePreferred(&task.preferred_machines,
-                     ctx.store->PreferredNodes(in_.name, src));
-    }
-
     if (ctx.attach_work) {
-      TileStore* store = ctx.store;
-      const std::string in_name = in_.name;
-      const std::string out_name = out_.name;
-      const TileLayout out_layout = lc;
-      const int64_t budget = ctx.prefetch_budget_bytes;
-      MemoryBudgetGroup* const mem = ctx.memory_budget;
-      const int64_t pin_bytes = ctx.task_pin_bytes;
-      task.work = [store, in_name, out_name, out_layout, group, budget, mem,
-                   pin_bytes](int machine) -> Status {
-        MemoryBudget* const ledger =
-            mem != nullptr ? mem->node(machine) : nullptr;
-        TaskTileReader reader(store, machine, budget, ledger, pin_bytes);
-        for (const TileId& id : group) {
-          // Input tile (j,i) has the transposed shape of output (i,j),
-          // which is the same serialized size.
-          reader.Hint(in_name, TileId{id.col, id.row},
-                      TileBytes(out_layout, id.row, id.col));
-        }
+      frame.body = [in_name = in_.name, out_name = out_.name, lc,
+                    group](TaskTileReader* reader, TileStore* store,
+                           int machine, KernelMode) -> Status {
         for (const TileId& id : group) {
           CUMULON_ASSIGN_OR_RETURN(
               std::shared_ptr<const Tile> t,
-              reader.Read(in_name, TileId{id.col, id.row}));
-          Tile out_tile(out_layout.TileRowsAt(id.row),
-                        out_layout.TileColsAt(id.col));
+              reader->Read(in_name, TileId{id.col, id.row}));
+          Tile out_tile(lc.TileRowsAt(id.row), lc.TileColsAt(id.col));
           // Scratch covers the output tile plus the transient input tile.
           const TaskTileReader::ScratchReservation scratch =
-              reader.PinScratch(2 * out_tile.MemoryBytes());
+              reader->PinScratch(2 * out_tile.MemoryBytes());
           CUMULON_RETURN_IF_ERROR(TransposeTile(*t, &out_tile));
           CUMULON_RETURN_IF_ERROR(
               store->Put(out_name, id,
-                         std::make_shared<Tile>(std::move(out_tile)),
-                         machine));
+                         std::make_shared<Tile>(std::move(out_tile)), machine));
         }
         return Status::OK();
       };
     }
-
-    built.spec.tasks.push_back(std::move(task));
-    built.task_outputs.push_back(std::move(outputs));
+    AddTask(ctx, std::move(frame), &built);
   }
   return built;
 }

@@ -25,7 +25,6 @@ struct BuildContext {
   TileStore* store = nullptr;            // closures + locality
   const TileOpCostModel* cost = nullptr; // cpu_seconds_ref per task
   bool attach_work = true;               // false for simulation-only plans
-  bool query_locality = true;            // consult store->PreferredNodes
 
   /// Kernel implementation the task bodies pass to the *WithMode tile ops
   /// (matrix/kernel_config.h): kAuto = packed SIMD when the CPU has it,

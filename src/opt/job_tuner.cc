@@ -1,6 +1,7 @@
 #include "opt/job_tuner.h"
 
 #include "common/strings.h"
+#include "dfs/tile_cache.h"
 #include "exec/physical_plan.h"
 #include "verify/verify.h"
 
@@ -15,9 +16,9 @@ std::vector<MatMulParams> DefaultMatMulCandidates() {
   };
 }
 
-double SlotMemoryBytes(const ClusterConfig& cluster, double memory_fraction) {
+double SlotMemoryBytes(const ClusterConfig& cluster) {
   return cluster.machine.memory_bytes() / cluster.slots_per_machine *
-         memory_fraction;
+         kTaskMemoryFraction;
 }
 
 Result<TunedMatMul> TuneMatMulParams(const TileLayout& a, const TileLayout& b,
@@ -32,7 +33,7 @@ Result<TunedMatMul> TuneMatMulParams(const TileLayout& a, const TileLayout& b,
   const std::vector<MatMulParams> candidates =
       options.candidates.empty() ? DefaultMatMulCandidates()
                                  : options.candidates;
-  const double slot_memory = SlotMemoryBytes(cluster, options.memory_fraction);
+  const double slot_memory = SlotMemoryBytes(cluster);
 
   SimEngineOptions sim = options.sim;
   sim.noise_sigma = 0.0;
@@ -42,7 +43,6 @@ Result<TunedMatMul> TuneMatMulParams(const TileLayout& a, const TileLayout& b,
   ctx.store = nullptr;
   ctx.cost = &cost;
   ctx.attach_work = false;
-  ctx.query_locality = false;
   if (TileCacheGroup* caches = engine.tile_caches()) {
     // Tune against the same cache the target engine will run with, so split
     // choice accounts for cache-served re-reads.

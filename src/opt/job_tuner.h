@@ -23,11 +23,6 @@ struct TuneOptions {
 
   SimEngineOptions sim;
   double job_startup_seconds = 3.0;
-
-  /// A task may use at most this fraction of its slot's share of machine
-  /// memory (the rest is framework overhead). Candidates whose working
-  /// set exceeds it are infeasible.
-  double memory_fraction = 0.8;
 };
 
 /// Result of tuning one multiply.
@@ -54,9 +49,10 @@ Result<TunedMatMul> TuneMatMulParams(const TileLayout& a, const TileLayout& b,
 /// The built-in candidate portfolio.
 std::vector<MatMulParams> DefaultMatMulCandidates();
 
-/// Memory available to one task: machine memory / slots, scaled by the
-/// usable fraction.
-double SlotMemoryBytes(const ClusterConfig& cluster, double memory_fraction);
+/// Memory available to one task: machine memory / slots, scaled by
+/// kTaskMemoryFraction. Candidates whose working set exceeds it are
+/// infeasible.
+double SlotMemoryBytes(const ClusterConfig& cluster);
 
 }  // namespace cumulon
 

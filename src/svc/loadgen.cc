@@ -165,8 +165,6 @@ void RunWorker(const TransportFactory& connect, const LoadGenOptions& options,
     }
   }
 
-  if (!options.collect_completions) return;
-
   // Poll phase: sweep the open plans until each is terminal. The completion
   // latency is client-observed (submit to terminal-poll), so it includes
   // queueing, execution, and our own polling granularity — what a tenant

@@ -49,9 +49,6 @@ struct LoadGenOptions {
   /// mm ladder mix.
   std::vector<std::pair<std::string, double>> workload_mix;
 
-  /// Poll accepted plans to terminal states (off = submit-only firehose).
-  bool collect_completions = true;
-
   uint64_t seed = 17;
 };
 

@@ -1,5 +1,7 @@
 #include "svc/server.h"
 
+#include <unistd.h>
+
 #include <chrono>
 #include <utility>
 
@@ -18,6 +20,7 @@ Status ServiceServer::Start(const std::string& address) {
   auto fd = ListenOn(address);
   if (!fd.ok()) return fd.status();
   listen_fd_ = *fd;
+  if (address.rfind("unix:", 0) == 0) socket_path_ = address.substr(5);
   {
     MutexLock lock(&mu_);
     accept_done_ = false;
@@ -118,6 +121,10 @@ void ServiceServer::WaitUntilStopped() {
   if (acceptor_.joinable()) acceptor_.join();
   CloseFd(listen_fd_);
   listen_fd_ = -1;
+  if (!socket_path_.empty()) {
+    unlink(socket_path_.c_str());
+    socket_path_.clear();
+  }
   std::vector<std::thread> done;
   {
     MutexLock lock(&mu_);

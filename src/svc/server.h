@@ -34,7 +34,8 @@ class ServiceServer {
   Status Start(const std::string& address);
 
   /// Blocks until the server has stopped (drain or explicit Stop) and all
-  /// connection threads have been joined.
+  /// connection threads have been joined, then closes the listener and
+  /// removes the socket file of a unix: address.
   void WaitUntilStopped();
 
   /// Shuts the listener and every open connection down. Idempotent;
@@ -50,6 +51,7 @@ class ServiceServer {
 
   CumulonService* service_;
   int listen_fd_ = -1;
+  std::string socket_path_;  // file a unix: address bound; "" otherwise
   std::thread acceptor_;
 
   mutable Mutex mu_{"ServiceServer::mu_"};

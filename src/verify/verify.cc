@@ -489,7 +489,6 @@ void PassPlanCoverage(const PhysicalPlan& plan,
   ctx.store = nullptr;
   ctx.cost = options.cost != nullptr ? options.cost : &kDefaultCost;
   ctx.attach_work = false;
-  ctx.query_locality = false;
 
   std::map<std::string, std::map<TileId, int>> produced;
   std::map<std::string, std::string> producer_name;

@@ -169,7 +169,7 @@ TEST_F(AggregateJobTest, DeclaredCostCoversAllInputBytes) {
   TiledMatrix out{"S", AggOutputLayout(in.layout, AggKind::kColSums)};
   AggregateJob job("agg", in, out, AggKind::kColSums, {}, 2);
   TileOpCostModel cost;
-  BuildContext ctx{nullptr, &cost, false, false};
+  BuildContext ctx{nullptr, &cost, false};
   auto built = job.Build(ctx);
   ASSERT_TRUE(built.ok()) << built.status();
   int64_t read = 0;

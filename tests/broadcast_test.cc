@@ -140,7 +140,7 @@ TEST_F(BroadcastJobTest, BroadcastOperandCostIsVectorSized) {
                        {EwStep::Binary(BinaryOp::kSub, "mu", false,
                                        EwStep::Operand::kRowVector)},
                        1);
-  BuildContext ctx{nullptr, &cost_, false, false};
+  BuildContext ctx{nullptr, &cost_, false};
   auto built_full = full.Build(ctx);
   auto built_bcast = broadcast.Build(ctx);
   ASSERT_TRUE(built_full.ok() && built_bcast.ok());

@@ -1,5 +1,8 @@
+#include <functional>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -344,8 +347,7 @@ TEST(ExecSimTest, BiggerBlocksReadFewerBytes) {
   TiledMatrix a{"A", TileLayout::Square(4096, 4096, 512)};
   TiledMatrix b{"B", TileLayout::Square(4096, 4096, 512)};
   TileOpCostModel cost;
-  BuildContext ctx{&store, &cost, /*attach_work=*/false,
-                   /*query_locality=*/false};
+  BuildContext ctx{&store, &cost, /*attach_work=*/false};
 
   auto bytes_with = [&](int64_t bi, int64_t bj) -> int64_t {
     TiledMatrix c{"C", TileLayout::Square(4096, 4096, 512)};
@@ -536,6 +538,202 @@ TEST(ExecIoTest, ProductStepReadsExactlyWhatItDeclares) {
                     tasks * (2 * (16 + 8 * 4 * 8) + (16 + 4 * 4 * 8)));
       EXPECT_EQ(snapshot.CounterOr("dfs.read.bytes", -1), stats->bytes_read);
     }
+  }
+}
+
+/// What one run read: the bytes its tasks declared, and the DFS's read ops
+/// and bytes.
+struct ReadCounts {
+  int64_t declared = -1;
+  int64_t dfs_ops = -1;
+  int64_t dfs_bytes = -1;
+};
+
+/// Stores `inputs` with uniform values, then runs the plan `add` builds on
+/// `machines` one-slot machines with a prefetch window of `prefetch_bytes`
+/// (0 = blocking reads). With at least as many machines as tasks, each task
+/// runs on its own node, where the store cannot coalesce two tasks'
+/// concurrent prefetches of one tile into one read.
+ReadCounts RunAndCountReads(const std::vector<TiledMatrix>& inputs,
+                            const std::function<void(PhysicalPlan*)>& add,
+                            int machines, int64_t prefetch_bytes) {
+  SimDfs dfs(DfsOptions{});
+  DfsTileStore store(&dfs);
+  store.EnablePrefetch(2);
+  Rng rng(7);
+  for (const TiledMatrix& m : inputs) {
+    EXPECT_TRUE(StoreDense(DenseMatrix::Uniform(m.layout.rows(),
+                                                m.layout.cols(), &rng),
+                           m, &store)
+                    .ok());
+  }
+  MetricsRegistry metrics;
+  store.AttachMetrics(&metrics);  // after the input writes: reads only
+
+  RealEngine engine(ClusterConfig{MachineProfile{}, machines, 1},
+                    RealEngineOptions{});
+  TileOpCostModel cost;
+  ExecutorOptions options;
+  options.prefetch_budget_bytes = prefetch_bytes;
+  Executor executor(&store, &engine, &cost, options);
+  PhysicalPlan plan;
+  add(&plan);
+  auto stats = executor.Run(plan);
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  if (!stats.ok()) return ReadCounts{};
+  const MetricsSnapshot snapshot = metrics.Snapshot();
+  return ReadCounts{stats->bytes_read, snapshot.CounterOr("dfs.read.ops", -1),
+                    snapshot.CounterOr("dfs.read.bytes", -1)};
+}
+
+// X is 20 x 12 in 8 x 8 tiles: a ragged 3 x 2 grid. Reading all of it once
+// costs 6 tile headers plus 20 * 12 doubles.
+TiledMatrix RaggedX() {
+  return TiledMatrix{"X", TileLayout::Square(20, 12, 8)};
+}
+constexpr int64_t kRaggedXBytes = 6 * 16 + 20 * 12 * 8;
+
+TEST(ExecIoTest, SumReadsExactlyWhatItDeclares) {
+  // Three partials shaped like X, two output tiles per task: three tasks,
+  // each reading its two tiles of every partial, and the tile of c that the
+  // column-vector epilogue step reads for both output tiles, which the memo
+  // serves once.
+  const TileLayout layout = RaggedX().layout;
+  const TiledMatrix c{"c", TileLayout::Square(20, 1, 8)};
+  std::vector<TiledMatrix> inputs = {c};
+  for (const char* part : {"P0", "P1", "P2"}) {
+    inputs.push_back(TiledMatrix{part, layout});
+  }
+  for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
+    SCOPED_TRACE(StrCat("prefetch window ", prefetch_bytes));
+    const ReadCounts counts = RunAndCountReads(
+        inputs,
+        [&](PhysicalPlan* plan) {
+          plan->jobs.push_back(std::make_unique<SumJob>(
+              "sum", std::vector<std::string>{"P0", "P1", "P2"},
+              TiledMatrix{"S", layout},
+              std::vector<EwStep>{EwStep::Binary(
+                  BinaryOp::kAdd, "c", false, EwStep::Operand::kColVector)},
+              /*tiles_per_task=*/2));
+        },
+        /*machines=*/3, prefetch_bytes);
+    EXPECT_EQ(counts.dfs_ops, 3 * 6 + 3);
+    EXPECT_EQ(counts.declared, 3 * kRaggedXBytes + 3 * 16 + 20 * 8);
+    EXPECT_EQ(counts.dfs_bytes, counts.declared);
+  }
+}
+
+TEST(ExecIoTest, EwChainReadsExactlyWhatItDeclares) {
+  // (X .* X) - mu, three tiles per task: two tasks. Each X tile is read
+  // twice, once as the chain's input through Read and once as the mul
+  // operand through the memo. Each task reads both tiles of the row vector
+  // mu once, although its three output tiles recur over them.
+  const TiledMatrix x = RaggedX();
+  const TiledMatrix mu{"mu", TileLayout::Square(1, 12, 8)};
+  for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
+    SCOPED_TRACE(StrCat("prefetch window ", prefetch_bytes));
+    const ReadCounts counts = RunAndCountReads(
+        {x, mu},
+        [&](PhysicalPlan* plan) {
+          ASSERT_TRUE(
+              AddEwChain(x, TiledMatrix{"Y", x.layout},
+                         {EwStep::Binary(BinaryOp::kMul, "X"),
+                          EwStep::Binary(BinaryOp::kSub, "mu", false,
+                                         EwStep::Operand::kRowVector)},
+                         plan, /*tiles_per_task=*/3)
+                  .ok());
+        },
+        /*machines=*/2, prefetch_bytes);
+    EXPECT_EQ(counts.dfs_ops, 2 * 6 + 2 * 2);
+    EXPECT_EQ(counts.declared, 2 * kRaggedXBytes + 2 * (2 * 16 + 12 * 8));
+    EXPECT_EQ(counts.dfs_bytes, counts.declared);
+  }
+}
+
+TEST(ExecIoTest, AggregateReadsExactlyWhatItDeclares) {
+  // Row sums (three tasks, one per grid row) and column sums (two tasks),
+  // each with an epilogue that multiplies by a same-shaped vector: X once,
+  // and each tile of the vector once.
+  const TiledMatrix x = RaggedX();
+  const TiledMatrix w{"w", TileLayout::Square(20, 1, 8)};
+  const TiledMatrix u{"u", TileLayout::Square(1, 12, 8)};
+  struct Case {
+    AggKind kind;
+    const TiledMatrix* operand;
+    int tasks;
+    int64_t operand_bytes;
+  };
+  for (const Case& c : {Case{AggKind::kRowSums, &w, 3, 3 * 16 + 20 * 8},
+                        Case{AggKind::kColSums, &u, 2, 2 * 16 + 12 * 8}}) {
+    for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
+      SCOPED_TRACE(StrCat(AggKindName(c.kind), ", prefetch window ",
+                          prefetch_bytes));
+      const TiledMatrix out{"agg", AggOutputLayout(x.layout, c.kind)};
+      const ReadCounts counts = RunAndCountReads(
+          {x, *c.operand},
+          [&](PhysicalPlan* plan) {
+            ASSERT_TRUE(AddAggregate(x, out, c.kind,
+                                     {EwStep::Binary(BinaryOp::kMul,
+                                                     c.operand->name)},
+                                     plan)
+                            .ok());
+          },
+          c.tasks, prefetch_bytes);
+      EXPECT_EQ(counts.dfs_ops, 6 + c.tasks);
+      EXPECT_EQ(counts.declared, kRaggedXBytes + c.operand_bytes);
+      EXPECT_EQ(counts.dfs_bytes, counts.declared);
+    }
+  }
+}
+
+TEST(ExecIoTest, GramMatMulReadsSharedTilesOnce) {
+  // X^T * X and Y * Y^T with a one-tile output: the task's A tile (i,k)
+  // and B tile (k,j) are the same stored tile, which the memo fetches
+  // once, so the task reads and declares X (or Y) once, not twice.
+  const TiledMatrix x{"X", TileLayout::Square(24, 8, 8)};
+  const TiledMatrix y{"Y", TileLayout::Square(8, 24, 8)};
+  struct Case {
+    const char* name;
+    MatMulOperand a, b;
+  };
+  for (const Case& c :
+       {Case{"X^T X", MatMulOperand(x, Orientation::kTransposed), x},
+        Case{"Y Y^T", y, MatMulOperand(y, Orientation::kTransposed)}}) {
+    for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
+      SCOPED_TRACE(StrCat(c.name, ", prefetch window ", prefetch_bytes));
+      const ReadCounts counts = RunAndCountReads(
+          {x, y},
+          [&](PhysicalPlan* plan) {
+            ASSERT_TRUE(AddMatMul(c.a, c.b,
+                                  TiledMatrix{"G", TileLayout::Square(8, 8, 8)},
+                                  MatMulParams{1, 1, 0}, {}, plan)
+                            .ok());
+          },
+          /*machines=*/1, prefetch_bytes);
+      EXPECT_EQ(counts.dfs_ops, 3);
+      EXPECT_EQ(counts.declared, 3 * (16 + 8 * 8 * 8));
+      EXPECT_EQ(counts.dfs_bytes, counts.declared);
+    }
+  }
+}
+
+TEST(ExecIoTest, TransposeReadsExactlyWhatItDeclares) {
+  // Two output tiles per task over X^T's 2 x 3 grid: three tasks that
+  // together read each X tile once.
+  const TiledMatrix x = RaggedX();
+  const TiledMatrix xt{"Xt", x.layout.Transposed()};
+  for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
+    SCOPED_TRACE(StrCat("prefetch window ", prefetch_bytes));
+    const ReadCounts counts = RunAndCountReads(
+        {x},
+        [&](PhysicalPlan* plan) {
+          ASSERT_TRUE(
+              AddTranspose(x, xt, plan, /*tiles_per_task=*/2).ok());
+        },
+        /*machines=*/3, prefetch_bytes);
+    EXPECT_EQ(counts.dfs_ops, 6);
+    EXPECT_EQ(counts.declared, kRaggedXBytes);
+    EXPECT_EQ(counts.dfs_bytes, counts.declared);
   }
 }
 

@@ -125,7 +125,6 @@ TEST(ProductStepPlanTest, GnmfIoShapeRunsTwentySixTasks) {
   BuildContext ctx;
   ctx.cost = &cost;
   ctx.attach_work = false;
-  ctx.query_locality = false;
   size_t tasks = 0;
   for (const auto& job : lowered->plan.jobs) {
     auto built = job->Build(ctx);

@@ -160,5 +160,33 @@ TEST(ServerTest, StopWithoutDrainShutsConnectionsDown) {
   ASSERT_TRUE(ops.Drain().ok());
 }
 
+TEST(ServerTest, RemovesUnixSocketOnStopAndDrain) {
+  const std::string address = SocketAddress("unlink");
+  const std::string path = address.substr(5);  // after "unix:"
+  {
+    CumulonService service(SmallServiceOptions());
+    ServiceServer server(&service);
+    ASSERT_TRUE(server.Start(address).ok());
+    EXPECT_EQ(access(path.c_str(), F_OK), 0);
+    server.Stop();
+    EXPECT_NE(access(path.c_str(), F_OK), 0) << path << " left after Stop";
+    LocalTransport local(&service);
+    ServiceClient ops(&local);
+    ASSERT_TRUE(ops.Hello("ops").ok());
+    ASSERT_TRUE(ops.Drain().ok());
+  }
+  CumulonService service(SmallServiceOptions());
+  ServiceServer server(&service);
+  ASSERT_TRUE(server.Start(address).ok());
+  EXPECT_EQ(access(path.c_str(), F_OK), 0);
+  auto transport = SocketTransport::Connect(address);
+  ASSERT_TRUE(transport.ok()) << transport.status();
+  ServiceClient client(transport->get());
+  ASSERT_TRUE(client.Hello("ops").ok());
+  ASSERT_TRUE(client.Drain().ok());
+  server.WaitUntilStopped();
+  EXPECT_NE(access(path.c_str(), F_OK), 0) << path << " left after DRAIN";
+}
+
 }  // namespace
 }  // namespace cumulon

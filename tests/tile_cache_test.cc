@@ -347,11 +347,12 @@ TEST(TileCacheGroupTest, NodesAreIsolatedAndStatsSum) {
 TEST(TileCacheTest, BudgetLeavesRoomAfterSlotWorkingSets) {
   // 8 GB machine, 2 slots, 80% of each slot's share reserved for tasks:
   // cache gets the remaining 20% = 1.6 GB.
+  ASSERT_EQ(kTaskMemoryFraction, 0.8);
   const double memory = 8.0 * (1 << 30);
-  const int64_t budget = NodeTileCacheBudget(memory, 2, 0.8);
+  const int64_t budget = NodeTileCacheBudget(memory, 2);
   EXPECT_EQ(budget, static_cast<int64_t>(memory * 0.2));
-  // Fully reserved memory leaves no cache.
-  EXPECT_EQ(NodeTileCacheBudget(memory, 2, 1.0), 0);
+  // Each slot reserves its share, so the slot count does not move it.
+  EXPECT_EQ(NodeTileCacheBudget(memory, 4), budget);
 }
 
 // ---------------------------------------------------------------------------

@@ -79,8 +79,9 @@ TEST(MemoryTest, TaskMemoryGrowsWithBlocks) {
 
 TEST(MemoryTest, SlotMemorySharedAmongSlots) {
   ClusterConfig cluster = MidCluster();  // m1.large: 7.5 GB, 2 slots
-  const double per_slot = SlotMemoryBytes(cluster, 1.0);
-  EXPECT_NEAR(per_slot, cluster.machine.memory_bytes() / 2, 1.0);
+  const double per_slot = SlotMemoryBytes(cluster);
+  EXPECT_NEAR(per_slot,
+              cluster.machine.memory_bytes() / 2 * kTaskMemoryFraction, 1.0);
 }
 
 TEST(MemoryTest, TinyMemoryRejectsAllCandidates) {
@@ -106,7 +107,7 @@ TEST(MemoryTest, ScarceMemoryFiltersBigBlocks) {
   ASSERT_TRUE(tuned.ok()) << tuned.status();
   EXPECT_GT(tuned->rejected_by_memory, 0);
   EXPECT_LE(MatMulJob::TaskMemoryBytes(a, b, tuned->params),
-            SlotMemoryBytes(cluster, 0.8));
+            SlotMemoryBytes(cluster));
 }
 
 // ---------------------------------------------------------------------------
