@@ -1,5 +1,8 @@
-// A2 — ablation: locality-aware (delay) scheduling. Without it, tasks read
-// their inputs over the network; with it, most reads are local disk.
+// A2 — ablation: locality-aware placement. With it, each task goes to a
+// machine holding its input replicas while that machine is under its
+// share of the job (PlaceTasks, the rule both engines use), and most reads
+// are local disk. Without it (SimEngineOptions::locality_aware = false),
+// tasks are placed round-robin and read their inputs over the network.
 //
 // Expectation: locality-aware placement cuts non-local tasks sharply and
 // speeds up IO-bound jobs, and matters more when replication is scarce.
@@ -64,7 +67,7 @@ void Run() {
     for (bool aware : {true, false}) {
       Outcome o = RunOnce(aware, repl);
       std::printf("%-6d %-12s %10s %7d/%-4d %12s\n", repl,
-                  aware ? "delay-aware" : "off",
+                  aware ? "locality" : "off",
                   FormatDuration(o.seconds).c_str(), o.non_local, o.tasks,
                   "");
     }

@@ -2,8 +2,10 @@
 // replication overhead, and the locality hit rate that makes Cumulon's
 // map-only reads cheap.
 //
-// Paper expectation: with 3-way replication and delay scheduling, the
-// large majority of task input bytes are served from local disk.
+// Paper expectation: with 3-way replication and locality-aware placement
+// (PlaceTasks: a task goes to a machine holding its input replicas while
+// that machine is under its share of the job), the large majority of task
+// input bytes are served from local disk.
 
 #include "bench/bench_util.h"
 

@@ -1,8 +1,10 @@
 #ifndef CUMULON_CLUSTER_ENGINE_H_
 #define CUMULON_CLUSTER_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "cluster/cluster_config.h"
 #include "cluster/task.h"
@@ -31,6 +33,26 @@ class Engine {
   /// model reads the byte budget the cluster would really have.
   virtual TileCacheGroup* tile_caches() const { return nullptr; }
 };
+
+/// The machine every task of `job` runs on, the one placement rule both
+/// engines share. No machine takes more than max(ceil(tasks / machines),
+/// slots_per_machine) tasks. With `use_preferences`, a maximum matching
+/// (augmenting paths, tasks in index order, each task first trying its
+/// least-loaded preferred machine with room) puts as many tasks as
+/// possible on one of their preferred machines; out-of-range and duplicate
+/// ids are ignored. Every other task goes, in index order, to the
+/// least-loaded machine, ties to i % machines and then onward from it, so
+/// a job without preferences is placed exactly round-robin.
+std::vector<int> PlaceTasks(const JobSpec& job, int machines,
+                            int slots_per_machine, bool use_preferences);
+
+/// Whether `task` reads locally on `machine`: it prefers no machine, or
+/// prefers this one.
+inline bool RunsLocal(const Task& task, int machine) {
+  const std::vector<int>& prefs = task.preferred_machines;
+  return prefs.empty() ||
+         std::find(prefs.begin(), prefs.end(), machine) != prefs.end();
+}
 
 /// The per-machine tile caches of an engine with node caching on:
 /// `bytes_per_node` each when > 0 (tests and benches), else the machine's

@@ -16,55 +16,12 @@ namespace cumulon {
 
 RealEngine::RealEngine(const ClusterConfig& config,
                        const RealEngineOptions& options)
-    : config_(config), options_(options) {
-  int threads = options_.max_threads > 0
-                    ? std::min(options_.max_threads, config_.total_slots())
-                    : config_.total_slots();
-  threads = std::max(threads, 1);
-  pool_ = std::make_unique<ThreadPool>(threads);
+    : config_(config),
+      options_(options),
+      pool_(std::make_unique<ThreadPool>(std::max(config.total_slots(), 1))) {
   if (options_.enable_tile_cache) {
     caches_ = MakeNodeTileCaches(config_, options_.cache_bytes_per_node);
   }
-}
-
-std::vector<int> RealEngine::PlaceTasks(const JobSpec& job) const {
-  const int machines = config_.num_machines;
-  std::vector<int> placement(job.tasks.size());
-  if (!options_.locality_aware) {
-    for (size_t i = 0; i < job.tasks.size(); ++i) {
-      placement[i] = static_cast<int>(i) % machines;
-    }
-    return placement;
-  }
-  // A machine may take at most its balanced share of the job (its slots'
-  // worth per wave, i.e. tasks/machines rounded up) before locality stops
-  // justifying the skew; beyond that, or without preferences, a task goes
-  // to the least-loaded machine, ties to the task-index round-robin one
-  // (i % machines) and then onward from it. The least-loaded machine is
-  // always under the cap, and a job without preferences is placed exactly
-  // round-robin.
-  const int64_t cap =
-      (static_cast<int64_t>(job.tasks.size()) + machines - 1) / machines;
-  std::vector<int64_t> load(machines, 0);
-  for (size_t i = 0; i < job.tasks.size(); ++i) {
-    const Task& task = job.tasks[i];
-    int chosen = -1;
-    for (int mch : task.preferred_machines) {
-      if (mch < 0 || mch >= machines || load[mch] >= cap) continue;
-      if (chosen < 0 || load[mch] < load[chosen]) chosen = mch;
-    }
-    if (chosen < 0) {
-      const int start = static_cast<int>(i) % machines;
-      chosen = start;
-      for (int step = 1; step < machines; ++step) {
-        const int mch = (start + step) % machines;
-        if (load[mch] < load[chosen]) chosen = mch;
-      }
-    }
-    placement[i] = chosen;
-    ++load[chosen];
-  }
-  return placement;
 }
 
 Result<JobStats> RealEngine::RunJob(const JobSpec& job) {
@@ -76,7 +33,9 @@ Result<JobStats> RealEngine::RunJob(const JobSpec& job) {
                           config_.total_slots();
   stats.task_runs.resize(job.tasks.size());
 
-  const std::vector<int> placement = PlaceTasks(job);
+  const std::vector<int> placement =
+      PlaceTasks(job, config_.num_machines, config_.slots_per_machine,
+                 /*use_preferences=*/true);
 
   Tracer* tracer =
       options_.tracer != nullptr ? options_.tracer : GlobalTracer();
@@ -155,12 +114,8 @@ Result<JobStats> RealEngine::RunJob(const JobSpec& job) {
     const int machine = placement[i];
     TaskRunInfo* run = &stats.task_runs[i];
     run->machine = machine;
-    if (!task.preferred_machines.empty()) {
-      run->local = std::find(task.preferred_machines.begin(),
-                             task.preferred_machines.end(),
-                             machine) != task.preferred_machines.end();
-      if (!run->local) ++stats.num_non_local_tasks;
-    }
+    run->local = RunsLocal(task, machine);
+    if (!run->local) ++stats.num_non_local_tasks;
     stats.bytes_read += task.cost.bytes_read;
     stats.bytes_written += task.cost.bytes_written;
     stats.shuffle_bytes += task.cost.shuffle_bytes;

@@ -13,22 +13,9 @@ namespace cumulon {
 class RevocationController;  // cloud/revocation.h; borrowed by the engine
 
 struct RealEngineOptions {
-  /// Caps the worker-thread count regardless of the configured slots, so
-  /// large simulated clusters can still be "really" executed on a small
-  /// host. 0 = use config.total_slots().
-  int max_threads = 0;
-
   /// Hadoop-style task retry: a failing task is re-attempted up to this
   /// many times before its error fails the job.
   int max_attempts = 1;
-
-  /// Place tasks that declare preferred_machines (DFS replica holders) on
-  /// one of those machines when it still has spare capacity this job,
-  /// instead of blind round-robin — the real-engine analogue of the sim
-  /// engine's delay scheduling. Tasks without preferences keep the exact
-  /// round-robin assignment. Also what makes the per-node tile cache hit:
-  /// tasks sharing inputs land on the same machines.
-  bool locality_aware = true;
 
   /// Own a per-machine node-local tile cache (attach it to the DfsTileStore
   /// via AttachCaches to activate). Sized from the machine profile's memory
@@ -61,12 +48,12 @@ struct RealEngineOptions {
   MetricsRegistry* metrics = nullptr;
 };
 
-/// Executes task closures for real on a thread pool and measures wall-clock
-/// time. Tasks preferring the machines that hold their inputs are placed
-/// there while capacity lasts (see RealEngineOptions::locality_aware);
-/// everything else goes to the least-loaded machine, round-robin among
-/// equals, so no machine takes more than its share of a job and the DFS
-/// locality accounting still sees a spread of reader/writer nodes.
+/// Executes task closures for real and measures wall-clock time. Each task
+/// runs on the machine PlaceTasks gives it, which puts tasks on the
+/// machines holding their inputs where it can; that is also what makes the
+/// per-node tile cache hit. Tasks run in index order on one FIFO pool of
+/// machines x slots worker threads, the lanes the sim engine models; a
+/// lane is not tied to a machine.
 class RealEngine : public Engine {
  public:
   RealEngine(const ClusterConfig& config, const RealEngineOptions& options);
@@ -78,11 +65,6 @@ class RealEngine : public Engine {
   TileCacheGroup* tile_caches() const override { return caches_.get(); }
 
  private:
-  /// Greedy placement of every task of `job`: preferred machines first
-  /// (least-loaded, capped at a balanced share), then the least-loaded
-  /// machine, ties broken round-robin.
-  std::vector<int> PlaceTasks(const JobSpec& job) const;
-
   ClusterConfig config_;
   RealEngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;

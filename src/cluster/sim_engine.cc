@@ -1,8 +1,6 @@
 #include "cluster/sim_engine.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
 #include <vector>
 
 #include "cloud/revocation.h"
@@ -106,10 +104,6 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
   // virtual clock below restarts at 0 for every job.
   const double trace_t0 = tracer != nullptr ? tracer->time_offset() : 0.0;
 
-  // free_at[machine][slot] = virtual time the slot becomes available.
-  std::vector<std::vector<double>> free_at(
-      machines, std::vector<double>(slots, 0.0));
-
   JobStats stats;
   stats.num_tasks = static_cast<int>(job.tasks.size());
   stats.waves = stats.num_tasks == 0
@@ -118,112 +112,54 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
                           config_.total_slots();
   stats.task_runs.reserve(job.tasks.size());
 
-  // Job-relative death instant per machine under the injected revocation
-  // schedule; +inf everywhere when no controller (or an empty schedule) is
-  // set, which makes every eligibility test below vacuously true and keeps
-  // the schedule bit-identical to the pre-revocation engine.
+  // The real engine's schedule: every task on the machine PlaceTasks gives
+  // it, started in index order by the earliest-free of machines x slots
+  // lanes (its shared FIFO worker pool). A lane is not tied to a machine.
+  // A slot-pool share narrows the lanes but not the placement, which the
+  // real engine also makes from the whole cluster's slots.
+  const std::vector<int> placement = PlaceTasks(
+      job, machines, config_.slots_per_machine, options_.locality_aware);
+  std::vector<double> lane_free(static_cast<size_t>(machines) * slots, 0.0);
+
+  // Revocations are read on the controller's clock, which this job enters
+  // at `origin`. Without a controller no machine is ever revoked, and the
+  // schedule is the revocation-free one.
   RevocationController* ctrl = options_.revocation;
-  std::vector<double> dead_at(machines, RevocationSchedule::kNever);
-  if (ctrl != nullptr) {
-    const double origin = ctrl->origin_seconds();
-    for (int mch = 0; mch < machines; ++mch) {
-      dead_at[mch] = ctrl->RevokedAtSeconds(mch) - origin;
-    }
-  }
+  const double origin = ctrl != nullptr ? ctrl->origin_seconds() : 0.0;
+  auto revoked = [&](int machine, double job_seconds) {
+    return ctrl != nullptr && ctrl->IsRevokedAt(machine, origin + job_seconds);
+  };
+  // Moves a task off a revoked machine the way the real engine's worker
+  // does; false when the whole fleet is gone.
+  auto relocate = [&](int* machine, double abs_seconds) {
+    *machine = ctrl->FallbackMachine(*machine, machines, abs_seconds);
+    return *machine >= 0;
+  };
+  auto fleet_gone = [](const Task& task) {
+    return Status::Internal(
+        StrCat("task '", task.name,
+               "' has no machine to run on: whole fleet revoked"));
+  };
   std::vector<int> kills_per_machine(machines, 0);
   std::vector<double> wasted_draws;
 
-  // Earliest slot on `machine` that can still START work, i.e. whose
-  // effective start max(free, ready_floor) precedes the machine's death.
-  auto earliest_slot = [&](int machine, double ready_floor, int* slot_out,
-                           double* time_out) {
-    bool found = false;
-    for (int i = 0; i < slots; ++i) {
-      const double eff = std::max(free_at[machine][i], ready_floor);
-      if (eff >= dead_at[machine]) continue;
-      if (!found || eff < *time_out) {
-        found = true;
-        *slot_out = i;
-        *time_out = eff;
-      }
-    }
-    return found;
-  };
-
-  // Greedy placement over eligible slots: globally earliest, then delay
-  // scheduling toward the task's preferred machines. `ready_floor` is 0 for
-  // a first attempt and the kill instant for a revocation retry (the
-  // scheduler only learns of the loss when the machine dies). False when
-  // the whole fleet is dead.
-  auto place = [&](const Task& task, double ready_floor, int* machine_out,
-                   int* slot_out, bool* local_out) {
-    int best_machine = -1, best_slot = -1;
-    double best_time = std::numeric_limits<double>::infinity();
-    for (int mch = 0; mch < machines; ++mch) {
-      int sl = 0;
-      double t = 0.0;
-      if (!earliest_slot(mch, ready_floor, &sl, &t)) continue;
-      if (t < best_time) {
-        best_machine = mch;
-        best_slot = sl;
-        best_time = t;
-      }
-    }
-    if (best_machine < 0) return false;
-
-    int chosen_machine = best_machine;
-    int chosen_slot = best_slot;
-    bool local = true;
-    if (!task.preferred_machines.empty()) {
-      local = false;
-      if (options_.locality_aware) {
-        int pref_machine = -1, pref_slot = -1;
-        double pref_time = std::numeric_limits<double>::infinity();
-        for (int mch : task.preferred_machines) {
-          if (mch < 0 || mch >= machines) continue;
-          int sl = 0;
-          double t = 0.0;
-          if (!earliest_slot(mch, ready_floor, &sl, &t)) continue;
-          if (t < pref_time) {
-            pref_time = t;
-            pref_machine = mch;
-            pref_slot = sl;
-          }
-        }
-        if (pref_machine >= 0 &&
-            pref_time <= best_time + options_.locality_delay_seconds) {
-          chosen_machine = pref_machine;
-          chosen_slot = pref_slot;
-          local = true;
-        }
-      }
-      if (!local) {
-        // The scheduler may still have gotten lucky.
-        local = std::find(task.preferred_machines.begin(),
-                          task.preferred_machines.end(),
-                          chosen_machine) != task.preferred_machines.end();
-      }
-    }
-    *machine_out = chosen_machine;
-    *slot_out = chosen_slot;
-    *local_out = local;
-    return true;
-  };
-
-  for (const Task& task : job.tasks) {
+  for (size_t i = 0; i < job.tasks.size(); ++i) {
     if (job.cancel != nullptr &&
         job.cancel->load(std::memory_order_relaxed)) {
       return Status::Cancelled(
           StrCat("job '", job.name, "' cancelled mid-schedule"));
     }
-
-    int chosen_machine = 0, chosen_slot = 0;
-    bool local = true;
-    if (!place(task, 0.0, &chosen_machine, &chosen_slot, &local)) {
-      return Status::Internal(
-          StrCat("task '", task.name,
-                 "' has no machine to run on: whole fleet revoked"));
+    const Task& task = job.tasks[i];
+    const int lane = static_cast<int>(
+        std::min_element(lane_free.begin(), lane_free.end()) -
+        lane_free.begin());
+    double start = lane_free[lane];
+    int machine = placement[i];
+    // No attempt starts on a machine that is already revoked.
+    if (revoked(machine, start) && !relocate(&machine, origin + start)) {
+      return fleet_gone(task);
     }
+    bool local = RunsLocal(task, machine);
 
     double modeled_stall = 0.0;
     const double base_duration =
@@ -262,32 +198,27 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
     // drawn fate without consuming new randomness.
     const double ratio = base_duration > 0.0 ? duration / base_duration : 1.0;
 
-    // Commit the attempt, or — when its span crosses the machine's death —
-    // kill it at the instant, charge the elapsed time as waste, and re-place
-    // on a surviving machine. The retry cannot start before the kill.
-    double ready_floor = 0.0;
-    double start;
-    for (;;) {
-      start = std::max(free_at[chosen_machine][chosen_slot], ready_floor);
-      if (start + duration <= dead_at[chosen_machine]) break;
-      const double kill_time = dead_at[chosen_machine];
+    // When the machine dies under the attempt, kill it at the instant,
+    // charge the elapsed time as waste, and rerun on the same lane on the
+    // machine FallbackMachine picks at that instant.
+    while (revoked(machine, start + duration)) {
+      const double death = ctrl->RevokedAtSeconds(machine);
+      const double kill_time = std::max(start, death - origin);
       const double wasted = kill_time - start;
-      free_at[chosen_machine][chosen_slot] = kill_time;
       ++stats.rescheduled_tasks;
       stats.revoked_wasted_seconds += wasted;
       stats.total_task_seconds += wasted;
       wasted_draws.push_back(wasted);
-      ++kills_per_machine[chosen_machine];
+      ++kills_per_machine[machine];
       ++attempts;
-      ready_floor = kill_time;
-      if (!place(task, ready_floor, &chosen_machine, &chosen_slot, &local)) {
-        return Status::Internal(
-            StrCat("task '", task.name,
-                   "' has no machine to run on: whole fleet revoked"));
+      start = kill_time;
+      if (!relocate(&machine, std::max(death, origin + start))) {
+        return fleet_gone(task);
       }
+      local = RunsLocal(task, machine);
       duration = TaskDuration(task.cost, local, &modeled_stall) * ratio;
     }
-    free_at[chosen_machine][chosen_slot] = start + duration;
+    lane_free[lane] = start + duration;
 
     stats.total_task_seconds += duration;
     stats.bytes_read += task.cost.bytes_read;
@@ -297,8 +228,8 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
     if (!local) ++stats.num_non_local_tasks;
     stats.stall_seconds += modeled_stall;
     TaskRunInfo run;
-    run.machine = chosen_machine;
-    run.slot = chosen_slot;
+    run.machine = machine;
+    run.slot = lane;
     run.start_seconds = start;
     run.duration_seconds = duration;
     run.local = local;
@@ -312,11 +243,11 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
                                        : StrCat(job.plan_tag, "/", task.name);
       span.category = "task";
       span.parent_id = job.trace_parent_span;
-      span.machine = chosen_machine;
-      span.slot = chosen_slot;
+      span.machine = machine;
+      span.slot = lane;
       span.start_seconds = trace_t0 + start;
       span.duration_seconds = duration;
-      // The slot was idle until `start`, so in a job submitted at virtual
+      // The lane was idle until `start`, so in a job submitted at virtual
       // time 0 the start time IS the task's queue wait.
       span.args = {{"queue_wait_seconds", start},
                    {"bytes_read", static_cast<double>(task.cost.bytes_read)},
@@ -338,10 +269,9 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
     }
   }
 
-  double makespan = 0.0;
-  for (const auto& machine_slots : free_at) {
-    for (double t : machine_slots) makespan = std::max(makespan, t);
-  }
+  const double makespan =
+      lane_free.empty() ? 0.0
+                        : *std::max_element(lane_free.begin(), lane_free.end());
   stats.duration_seconds = makespan;
 
   if (ctrl != nullptr) {
@@ -351,7 +281,7 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
     // "revoke" marker on the machine's lane. ClaimFired gates each machine
     // to exactly one observation across the controller's lifetime.
     for (int mch = 0; mch < machines; ++mch) {
-      if (dead_at[mch] > makespan) continue;  // not lost yet (or never)
+      if (!revoked(mch, makespan)) continue;  // not lost yet (or never)
       if (!ctrl->ClaimFired(mch)) continue;   // an earlier job observed it
       ++stats.revoked_machines;
       if (caches_ != nullptr) caches_->ClearNode(mch);
@@ -365,7 +295,8 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
         span.parent_id = job.trace_parent_span;
         span.machine = mch;
         span.slot = 0;
-        span.start_seconds = trace_t0 + std::max(dead_at[mch], 0.0);
+        span.start_seconds =
+            trace_t0 + std::max(ctrl->RevokedAtSeconds(mch) - origin, 0.0);
         span.duration_seconds = 0.0;
         span.args = {{"machine", static_cast<double>(mch)},
                      {"tasks_rescheduled",

@@ -15,8 +15,8 @@ namespace cumulon {
 class RevocationController;  // cloud/revocation.h; borrowed by the engine
 
 /// Knobs of the cluster simulation. The defaults mirror a 2013 Hadoop
-/// deployment: ~1 s task launch overhead, 3-way replication, delay
-/// scheduling for locality, and moderate task-duration noise.
+/// deployment: ~1 s task launch overhead and 3-way replication; noise is
+/// off.
 struct SimEngineOptions {
   /// Fixed per-task overhead (JVM launch, heartbeat scheduling latency).
   double task_startup_seconds = 1.0;
@@ -29,11 +29,10 @@ struct SimEngineOptions {
   /// the rest over the network), matching the DFS configuration.
   int replication = 3;
 
-  /// Place tasks on machines holding their input replicas when one is
-  /// available within `locality_delay_seconds` of the globally earliest
-  /// slot (Hadoop-style delay scheduling).
+  /// Place tasks by their preferred machines, as the real engine does
+  /// (PlaceTasks). false places every job round-robin: the locality-off
+  /// baseline of ablation A2.
   bool locality_aware = true;
-  double locality_delay_seconds = 3.0;
 
   /// Hadoop-style speculative execution: when a task runs long, a backup
   /// attempt is launched and the earlier finisher wins. Modeled as
@@ -70,14 +69,15 @@ struct SimEngineOptions {
 
   /// Injects a transient-machine fault plan (cloud/revocation.h): machines
   /// the schedule revokes die mid-job at their instant on the controller's
-  /// cumulative virtual clock. The in-flight attempt on a dying machine is
-  /// killed at the instant (its elapsed time is wasted and counted), the
-  /// task is re-placed on a surviving machine with its noise/failure
-  /// multiplier preserved (no extra RNG draws, so seeded runs replay
-  /// bit-identically), the node's tile cache is dropped, and a zero-width
-  /// "revoke" span plus cluster.revoked.* metrics record the loss. Borrowed;
-  /// null (or a controller with an empty schedule) leaves every schedule
-  /// decision and RNG draw exactly as before.
+  /// cumulative virtual clock. As in the real engine, a task whose machine
+  /// is revoked moves to RevocationController::FallbackMachine before its
+  /// attempt starts, or at the kill instant, and reruns on the same lane.
+  /// A killed attempt's elapsed time is wasted and counted, the task keeps
+  /// its noise/failure multiplier (no extra RNG draws, so seeded runs
+  /// replay bit-identically), the node's tile cache is dropped, and a
+  /// zero-width "revoke" span plus cluster.revoked.* metrics record the
+  /// loss. Borrowed; null (or a controller with an empty schedule) leaves
+  /// every schedule decision and RNG draw exactly as before.
   RevocationController* revocation = nullptr;
 
   /// Records one span per task, stamped from the *virtual clock* (plus the
@@ -114,8 +114,10 @@ int DrawTaskAttempts(Rng* rng, double failure_probability, int max_attempts);
 ///
 /// i.e. slots on the same machine contend for cores, disk and NIC — which
 /// is what makes slots-per-machine a real optimization knob (experiment
-/// E3). Scheduling is greedy list scheduling over all slots with optional
-/// locality preference. A virtual clock advances; nothing executes.
+/// E3). The schedule is the real engine's: each task runs on the machine
+/// PlaceTasks gives it, and tasks start in index order on the earliest-free
+/// of machines x slots lanes, the real engine's shared FIFO worker pool.
+/// A virtual clock advances; nothing executes.
 ///
 /// RunJob is safe to call from concurrent plans: runs serialize on an
 /// internal mutex (virtual clocks cannot interleave task-by-task), and a

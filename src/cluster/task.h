@@ -89,9 +89,10 @@ struct JobSpec {
 /// the submitter flips while engines poll it).
 struct TaskRunInfo {
   int machine = -1;
-  /// Execution lane within the machine: the scheduler slot in sim mode,
-  /// the worker-thread index in real mode. Trace lanes key on
-  /// (machine, slot).
+  /// Execution lane: one of the cluster's machines x slots lanes, in both
+  /// modes. It is the worker-thread index in real mode and the simulated
+  /// worker in sim mode, and it is not tied to `machine`. Trace lanes key
+  /// on (machine, slot).
   int slot = 0;
   double start_seconds = 0.0;
   double duration_seconds = 0.0;

@@ -28,7 +28,7 @@ struct TraceSpan {
   std::string name;
   std::string category;  // "job", "task", "startup"
   int machine = -1;      // -1 = driver/coordinator lane
-  int slot = 0;          // sim: scheduler slot; real: worker thread
+  int slot = 0;          // task: one of machines x slots lanes (both modes)
   double start_seconds = 0.0;
   double duration_seconds = 0.0;
   double end_seconds() const { return start_seconds + duration_seconds; }

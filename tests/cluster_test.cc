@@ -1,11 +1,15 @@
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_config.h"
 #include "cluster/real_engine.h"
 #include "cluster/sim_engine.h"
+#include "common/rng.h"
+#include "common/strings.h"
 
 namespace cumulon {
 namespace {
@@ -190,7 +194,7 @@ TEST(SimEngineTest, LocalityIgnoredWhenDisabled) {
   ClusterConfig c{TestMachine(), 4, 1};
   SimEngine engine(c, o);
   JobSpec job;
-  // All tasks prefer machine 3; without delay scheduling most must run
+  // All tasks prefer machine 3; placed round-robin, most must run
   // elsewhere (remote).
   for (int i = 0; i < 8; ++i) {
     Task t = MakeTask(1.0, 1'000'000);
@@ -202,12 +206,12 @@ TEST(SimEngineTest, LocalityIgnoredWhenDisabled) {
   EXPECT_GT(stats->num_non_local_tasks, 0);
 }
 
-TEST(SimEngineTest, DelaySchedulingTradesWaitForLocality) {
-  SimEngineOptions o = NoOverheadOptions();
-  o.locality_aware = true;
-  o.locality_delay_seconds = 100.0;  // wait as long as it takes
+TEST(SimEngineTest, PreferredMachineTakesOnlyItsShareOfTheJob) {
+  // All eight tasks prefer machine 3 of four single-slot machines. It
+  // takes its share of the job, ceil(8 / 4) = 2 tasks, and the other six
+  // run elsewhere instead of queueing for it.
   ClusterConfig c{TestMachine(), 4, 1};
-  SimEngine engine(c, o);
+  SimEngine engine(c, NoOverheadOptions());
   JobSpec job;
   for (int i = 0; i < 8; ++i) {
     Task t = MakeTask(1.0, 1'000'000);
@@ -216,10 +220,13 @@ TEST(SimEngineTest, DelaySchedulingTradesWaitForLocality) {
   }
   auto stats = engine.RunJob(job);
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->num_non_local_tasks, 0);
+  int on_preferred = 0;
   for (const TaskRunInfo& run : stats->task_runs) {
-    EXPECT_EQ(run.machine, 3);
+    EXPECT_EQ(run.local, run.machine == 3);
+    if (run.machine == 3) ++on_preferred;
   }
+  EXPECT_EQ(on_preferred, 2);
+  EXPECT_EQ(stats->num_non_local_tasks, 6);
 }
 
 TEST(SimEngineTest, NoiseIsDeterministicPerSeed) {
@@ -398,25 +405,6 @@ TEST(RealEngineTest, ConcurrentFailuresPublishOneErrorSafely) {
   }
 }
 
-TEST(RealEngineTest, MaxThreadsCapsPool) {
-  ClusterConfig c{TestMachine(), 16, 8};  // 128 slots
-  RealEngineOptions o;
-  o.max_threads = 2;
-  RealEngine engine(c, o);
-  std::atomic<int> ran{0};
-  JobSpec job;
-  for (int i = 0; i < 20; ++i) {
-    Task t;
-    t.work = [&ran](int) {
-      ran.fetch_add(1);
-      return Status::OK();
-    };
-    job.tasks.push_back(std::move(t));
-  }
-  ASSERT_TRUE(engine.RunJob(job).ok());
-  EXPECT_EQ(ran.load(), 20);
-}
-
 TEST(RealEngineTest, TasksWithoutWorkAreNoOps) {
   ClusterConfig c{TestMachine(), 1, 1};
   RealEngine engine(c, RealEngineOptions{});
@@ -425,6 +413,79 @@ TEST(RealEngineTest, TasksWithoutWorkAreNoOps) {
   auto stats = engine.RunJob(job);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->num_tasks, 3);
+}
+
+// ---------------------------------------------------------------------------
+// PlaceTasks
+// ---------------------------------------------------------------------------
+
+/// The most tasks of `job` that can sit on one of their preferred machines
+/// with no machine holding more than `cap`, found by trying every choice
+/// of a preferred machine, or none, for every task.
+int MaxLocalTasks(const JobSpec& job, int machines, int cap) {
+  std::vector<int> load(machines, 0);
+  std::function<int(size_t)> best = [&](size_t t) {
+    if (t == job.tasks.size()) return 0;
+    int most = best(t + 1);
+    for (int m : job.tasks[t].preferred_machines) {
+      if (m < 0 || m >= machines || load[m] >= cap) continue;
+      ++load[m];
+      most = std::max(most, 1 + best(t + 1));
+      --load[m];
+    }
+    return most;
+  };
+  return best(0);
+}
+
+TEST(PlaceTasksTest, SmallRandomJobsMatchTheBruteForceOptimum) {
+  Rng rng(26);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int machines = static_cast<int>(rng.NextInt(1, 4));
+    const int slots = static_cast<int>(rng.NextInt(1, 3));
+    const int tasks = static_cast<int>(rng.NextInt(0, 8));
+    JobSpec job;
+    job.tasks.resize(tasks);
+    for (Task& task : job.tasks) {
+      // Ids -1 and `machines` are out of range; with so few machines,
+      // three draws often repeat an id.
+      for (int64_t p = rng.NextInt(0, 3); p > 0; --p) {
+        task.preferred_machines.push_back(
+            static_cast<int>(rng.NextInt(-1, machines)));
+      }
+    }
+    SCOPED_TRACE(StrCat("trial ", trial, ": ", tasks, " tasks on ",
+                        machines, " x ", slots));
+    const int cap = std::max((tasks + machines - 1) / machines, slots);
+
+    const std::vector<int> placement = PlaceTasks(job, machines, slots, true);
+    ASSERT_EQ(placement.size(), job.tasks.size());
+    std::vector<int> load(machines, 0);
+    int local = 0;
+    for (int t = 0; t < tasks; ++t) {
+      ASSERT_GE(placement[t], 0);
+      ASSERT_LT(placement[t], machines);
+      ++load[placement[t]];
+      const std::vector<int>& prefs = job.tasks[t].preferred_machines;
+      if (std::find(prefs.begin(), prefs.end(), placement[t]) !=
+          prefs.end()) {
+        ++local;
+      }
+    }
+    for (int m = 0; m < machines; ++m) EXPECT_LE(load[m], cap);
+    EXPECT_EQ(local, MaxLocalTasks(job, machines, cap));
+
+    // Preferences ignored, or none declared: exactly round-robin.
+    JobSpec bare;
+    bare.tasks.resize(tasks);
+    const std::vector<int> blind = PlaceTasks(job, machines, slots, false);
+    const std::vector<int> unpreferred =
+        PlaceTasks(bare, machines, slots, true);
+    for (int t = 0; t < tasks; ++t) {
+      EXPECT_EQ(blind[t], t % machines);
+      EXPECT_EQ(unpreferred[t], t % machines);
+    }
+  }
 }
 
 }  // namespace

@@ -394,6 +394,10 @@ TEST(ExecIoTest, BlockedMatMulReadsExactlyWhatItDeclares) {
   // tasks that each need 8 A and 8 B tiles. Within a task every A tile
   // recurs per j and every B tile per i; the task-wide reader's memo must
   // serve those repeats, so the DFS sees each declared tile read once.
+  // Declared bytes count each task's reads on their own, while the store
+  // coalesces concurrent prefetches of one tile to one node into a single
+  // read. So four machines with one slot each hold one task apiece, and
+  // no two tasks share a node whose reads could coalesce.
   for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
     SCOPED_TRACE(StrCat("prefetch window ", prefetch_bytes));
     SimDfs dfs(DfsOptions{});
@@ -410,7 +414,7 @@ TEST(ExecIoTest, BlockedMatMulReadsExactlyWhatItDeclares) {
     MetricsRegistry metrics;
     store.AttachMetrics(&metrics);  // after the input writes: reads only
 
-    RealEngine engine(ClusterConfig{MachineProfile{}, 2, 2},
+    RealEngine engine(ClusterConfig{MachineProfile{}, 4, 1},
                       RealEngineOptions{});
     TileOpCostModel cost;
     ExecutorOptions options;

@@ -6,13 +6,19 @@
 // hand-written test enumerates.
 
 #include <map>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/real_engine.h"
+#include "cluster/sim_engine.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "cost/cost_model.h"
+#include "dfs/dfs_tile_store.h"
+#include "dfs/sim_dfs.h"
 #include "exec/executor.h"
 #include "lang/interpreter.h"
 #include "lang/logical_optimizer.h"
@@ -296,6 +302,81 @@ TEST_P(TracedFuzzTest, TracingDoesNotPerturbResults) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TracedFuzzTest,
                          ::testing::Range<uint64_t>(1, 6));
+
+/// Both engines place tasks by one rule, and a sim-mode run registers each
+/// output tile on the machine its task ran on, as a real run writes it
+/// there. So over one DFS a simulated plan puts every task of every job on
+/// the machine the real run of it does. Replication 1 keeps each tile on
+/// its writer, so a placement difference in one job changes the preferred
+/// machines of the next.
+class EnginePlacementFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(EnginePlacementFuzzTest, SimAndRealPlaceEveryTaskOnOneMachine) {
+  const uint64_t seed = GetParam();
+  const ClusterConfig cluster{MachineProfile{}, 3, 2};
+  using JobMachines = std::vector<std::pair<std::string, std::vector<int>>>;
+
+  // The machine of every task of every job of one run of the generated
+  // program; the same seed regenerates the same program, inputs and
+  // replica placement each call.
+  auto run = [&](bool real, bool parallel) {
+    ExprGenerator generator(seed);
+    Program program;
+    program.Assign("out1", generator.Generate(3, 16, 24));
+    program.Assign("out2", generator.Generate(2, 24, 8));
+
+    DfsOptions dfs_options;
+    dfs_options.num_nodes = cluster.num_machines;
+    dfs_options.replication = 1;
+    SimDfs dfs(dfs_options);
+    DfsTileStore store(&dfs);
+    std::map<std::string, TiledMatrix> bindings;
+    CUMULON_CHECK(generator.Materialize(&store, &bindings).ok());
+    LoweringOptions lowering;
+    lowering.tile_dim = kTile;
+    auto lowered = Lower(program, bindings, lowering);
+    CUMULON_CHECK(lowered.ok()) << lowered.status();
+
+    std::unique_ptr<Engine> engine;
+    if (real) {
+      engine = std::make_unique<RealEngine>(cluster, RealEngineOptions{});
+    } else {
+      engine = std::make_unique<SimEngine>(cluster, SimEngineOptions{});
+    }
+    TileOpCostModel cost;
+    ExecutorOptions options;
+    options.real_mode = real;
+    options.parallelize_independent_jobs = parallel;
+    Executor executor(&store, engine.get(), &cost, options);
+    auto stats = executor.Run(lowered->plan);
+    CUMULON_CHECK(stats.ok()) << stats.status();
+
+    JobMachines jobs;
+    for (const JobRecord& job : stats->jobs) {
+      std::vector<int> machines;
+      for (const TaskRunInfo& task : job.stats.task_runs) {
+        machines.push_back(task.machine);
+      }
+      jobs.emplace_back(job.name, std::move(machines));
+    }
+    return jobs;
+  };
+
+  for (const bool parallel : {false, true}) {
+    SCOPED_TRACE(StrCat("seed=", seed, " parallel=", parallel));
+    const JobMachines simulated = run(false, parallel);
+    const JobMachines real = run(true, parallel);
+    ASSERT_FALSE(real.empty());
+    ASSERT_EQ(simulated.size(), real.size());
+    for (size_t j = 0; j < real.size(); ++j) {
+      EXPECT_EQ(simulated[j].first, real[j].first);
+      EXPECT_EQ(simulated[j].second, real[j].second) << real[j].first;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EnginePlacementFuzzTest,
+                         ::testing::Range<uint64_t>(1, 11));
 
 }  // namespace
 }  // namespace cumulon
