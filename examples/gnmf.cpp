@@ -1,7 +1,8 @@
 // GNMF: Gaussian non-negative matrix factorization via multiplicative
 // updates, the iterative statistical workload family the paper targets.
-// Runs several iterations for real on the simulated cluster and shows the
-// reconstruction error decreasing monotonically.
+// Runs several iterations for real on the simulated cluster through
+// RunIterative and shows the reconstruction error decreasing
+// monotonically.
 
 #include <cstdio>
 #include <map>
@@ -54,30 +55,29 @@ int RunGnmf() {
   auto dv = LoadDense(bindings.at("V"), &store);
   CUMULON_CHECK(dv.ok());
 
+  // The predicate only reports: it prints each iteration's error, checks
+  // that the objective did not rise, and never stops the run early.
   double previous_error = 1e300;
-  for (int iter = 0; iter < iterations; ++iter) {
-    Program program = OptimizeProgram(BuildGnmfIteration(spec));
-    LoweringOptions lowering;
-    lowering.tile_dim = tile;
-    lowering.temp_prefix = StrCat("tmp_it", iter);
-    auto lowered = Lower(program, bindings, lowering);
-    CUMULON_CHECK(lowered.ok()) << lowered.status();
-    auto stats = executor.Run(lowered->plan);
-    CUMULON_CHECK(stats.ok()) << stats.status();
-
-    // Rebind the updated factors for the next iteration.
-    bindings.insert_or_assign("H", lowered->outputs.at("H"));
-    bindings.insert_or_assign("W", lowered->outputs.at("W"));
-
-    auto dw = LoadDense(bindings.at("W"), &store);
-    auto dh = LoadDense(bindings.at("H"), &store);
-    CUMULON_CHECK(dw.ok() && dh.ok());
-    const double error = ReconstructionError(*dv, *dw, *dh);
-    std::printf("iter %d: ||V - W H||_F = %.6f\n", iter + 1, error);
+  IterativeRunOptions run;
+  run.lowering.tile_dim = tile;
+  run.max_iterations = iterations;
+  run.converged = [&](const IterationState& state) -> Result<bool> {
+    CUMULON_ASSIGN_OR_RETURN(DenseMatrix dw,
+                             LoadDense(state.bindings->at("W"), &store));
+    CUMULON_ASSIGN_OR_RETURN(DenseMatrix dh,
+                             LoadDense(state.bindings->at("H"), &store));
+    const double error = ReconstructionError(*dv, dw, dh);
+    std::printf("iter %d: ||V - W H||_F = %.6f\n", state.iteration + 1,
+                error);
     CUMULON_CHECK(error <= previous_error + 1e-9)
         << "multiplicative updates must not increase the objective";
     previous_error = error;
-  }
+    return false;
+  };
+  auto result =
+      RunIterative(BuildGnmfIteration(spec), bindings, &executor, run);
+  CUMULON_CHECK(result.ok()) << result.status();
+  CUMULON_CHECK_EQ(result->iterations, iterations);
   std::printf("GNMF converged monotonically over %d iterations.\n",
               iterations);
   return 0;

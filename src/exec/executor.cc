@@ -10,6 +10,68 @@
 
 namespace cumulon {
 
+namespace {
+
+/// Typed reason slug of a coverage failure (docs/observability.md).
+constexpr char kCoverageReason[] = "verify.plan.coverage";
+
+/// Exactly-once tile production, checked on the build about to run: per
+/// output matrix, the job's task outputs must form a dense grid with no
+/// tile produced twice and no gap, and every declared output must get
+/// tiles. Only a bug in the job's own Build loops can fail it; the run
+/// then stops before the job runs any task.
+Status CheckTileCoverage(const PhysicalJob& job, const BuiltJob& built) {
+  std::map<std::string, std::map<TileId, int>> produced;
+  for (const std::vector<TileOutput>& outs : built.task_outputs) {
+    for (const TileOutput& out : outs) ++produced[out.matrix][out.id];
+  }
+  std::vector<std::string> problems;
+  for (const std::string& matrix : job.OutputMatrices()) {
+    if (produced.count(matrix) == 0) {
+      problems.push_back(StrCat("declares output '", matrix,
+                              "' but produces no tiles for it"));
+    }
+  }
+  for (const auto& [matrix, tiles] : produced) {
+    int64_t grid_rows = 0;
+    int64_t grid_cols = 0;
+    for (const auto& [id, count] : tiles) {
+      grid_rows = std::max(grid_rows, id.row + 1);
+      grid_cols = std::max(grid_cols, id.col + 1);
+      if (id.row < 0 || id.col < 0) {
+        problems.push_back(StrCat("tile (", id.row, ",", id.col, ") of '",
+                                matrix, "' has a negative grid index"));
+      } else if (count > 1) {
+        problems.push_back(StrCat("tile (", id.row, ",", id.col, ") of '",
+                                matrix, "' is produced ", count, " times"));
+      }
+    }
+    if (static_cast<int64_t>(tiles.size()) >= grid_rows * grid_cols) continue;
+    for (int64_t r = 0; r < grid_rows; ++r) {
+      for (int64_t c = 0; c < grid_cols; ++c) {
+        if (tiles.count(TileId{r, c}) == 0) {
+          problems.push_back(StrCat("tile (", r, ",", c, ") of '", matrix,
+                                  "' is never produced (grid ", grid_rows,
+                                  "x", grid_cols, ")"));
+        }
+      }
+    }
+  }
+  if (problems.empty()) return Status::OK();
+  // A broken grid can miss thousands of tiles; name the first few.
+  constexpr size_t kShown = 8;
+  std::string msg = StrCat("[", kCoverageReason, "] job '", job.name(), "':");
+  for (size_t i = 0; i < std::min(problems.size(), kShown); ++i) {
+    msg = StrCat(msg, i == 0 ? " " : "; ", problems[i]);
+  }
+  if (problems.size() > kShown) {
+    msg = StrCat(msg, " (+", problems.size() - kShown, " more)");
+  }
+  return Status::FailedPrecondition(std::move(msg));
+}
+
+}  // namespace
+
 Executor::Executor(TileStore* store, Engine* engine,
                    const TileOpCostModel* cost, const ExecutorOptions& options)
     : store_(store),
@@ -283,12 +345,14 @@ Result<PlanStats> Executor::RunRounds(const PhysicalPlan& plan,
   for (size_t r = 0; r < rounds.size(); ++r) {
     CUMULON_RETURN_IF_ERROR(CheckCancelled());
     // A round's tasks run as one engine job. A one-job round keeps the
-    // job's own name; a merged round is named levelN(a+b).
+    // job's own name; a merged round is named levelN(a+b). Each job's
+    // build is checked before any task of the round runs.
     JobSpec spec;
     std::vector<std::vector<TileOutput>> task_outputs;
     std::string joined;
     for (size_t j : rounds[r]) {
       CUMULON_ASSIGN_OR_RETURN(BuiltJob built, plan.jobs[j]->Build(ctx));
+      CUMULON_RETURN_IF_ERROR(CheckTileCoverage(*plan.jobs[j], built));
       for (Task& task : built.spec.tasks) {
         spec.tasks.push_back(std::move(task));
       }

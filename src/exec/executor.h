@@ -185,6 +185,10 @@ class Executor {
   Executor(TileStore* store, Engine* engine, const TileOpCostModel* cost,
            const ExecutorOptions& options);
 
+  /// Builds each job just before its round. A job whose Build fails, or
+  /// whose tasks do not produce each output tile exactly once
+  /// (FailedPrecondition, "[verify.plan.coverage] "), fails the run before
+  /// any task of its round starts.
   Result<PlanStats> Run(const PhysicalPlan& plan);
 
   const ExecutorOptions& options() const { return options_; }

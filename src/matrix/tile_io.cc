@@ -3,8 +3,6 @@
 #include <bit>
 #include <cstring>
 
-#include "common/strings.h"
-
 namespace cumulon {
 
 namespace {
@@ -32,12 +30,6 @@ uint64_t Round(uint64_t acc, uint64_t word) {
 
 uint64_t MergeRound(uint64_t acc, uint64_t lane) {
   return (acc ^ Round(0, lane)) * kPrime1 + kPrime4;
-}
-
-void AppendRaw(const void* src, size_t size, std::vector<uint8_t>* out) {
-  const size_t offset = out->size();
-  out->resize(offset + size);
-  std::memcpy(out->data() + offset, src, size);
 }
 
 }  // namespace
@@ -70,49 +62,6 @@ uint64_t Checksum64(const void* data, size_t size) {
   h = (h ^ (h >> 33)) * kPrime2;
   h = (h ^ (h >> 29)) * kPrime3;
   return h ^ (h >> 32);
-}
-
-std::vector<uint8_t> SerializeTile(const Tile& tile) {
-  std::vector<uint8_t> out;
-  out.reserve(tile.SizeBytes() + sizeof(uint64_t));
-  const int64_t rows = tile.rows();
-  const int64_t cols = tile.cols();
-  AppendRaw(&rows, sizeof(rows), &out);
-  AppendRaw(&cols, sizeof(cols), &out);
-  AppendRaw(tile.data(), tile.size() * sizeof(double), &out);
-  const uint64_t checksum = Checksum64(out.data(), out.size());
-  AppendRaw(&checksum, sizeof(checksum), &out);
-  return out;
-}
-
-Result<Tile> DeserializeTile(const std::vector<uint8_t>& bytes) {
-  constexpr size_t kHeader = 2 * sizeof(int64_t);
-  constexpr size_t kFooter = sizeof(uint64_t);
-  if (bytes.size() < kHeader + kFooter) {
-    return Status::InvalidArgument("serialized tile too short");
-  }
-  uint64_t expected_checksum = 0;
-  std::memcpy(&expected_checksum, bytes.data() + bytes.size() - kFooter,
-              kFooter);
-  const uint64_t actual_checksum =
-      Checksum64(bytes.data(), bytes.size() - kFooter);
-  if (actual_checksum != expected_checksum) {
-    return Status::Internal("tile checksum mismatch (corrupted block)");
-  }
-  int64_t rows = 0, cols = 0;
-  std::memcpy(&rows, bytes.data(), sizeof(rows));
-  std::memcpy(&cols, bytes.data() + sizeof(rows), sizeof(cols));
-  if (rows <= 0 || cols <= 0) {
-    return Status::InvalidArgument(
-        StrCat("invalid tile dimensions ", rows, "x", cols));
-  }
-  const size_t payload = static_cast<size_t>(rows) * cols * sizeof(double);
-  if (bytes.size() != kHeader + payload + kFooter) {
-    return Status::InvalidArgument("serialized tile length mismatch");
-  }
-  Tile tile(rows, cols);
-  std::memcpy(tile.mutable_data(), bytes.data() + kHeader, payload);
-  return tile;
 }
 
 }  // namespace cumulon

@@ -3,24 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "common/result.h"
-#include "matrix/tile.h"
 
 namespace cumulon {
 
-/// On-the-wire tile format, matching Tile::SizeBytes() plus an integrity
-/// footer:
-///   int64 rows | int64 cols | rows*cols little-endian doubles | u64 sum
-/// where `sum` is Checksum64 of everything before it. The checksum lets
-/// the storage layer detect corrupted blocks (a real concern for a DFS;
-/// HDFS checksums blocks the same way).
-std::vector<uint8_t> SerializeTile(const Tile& tile);
-
-/// Parses a serialized tile, validating the header, length, and checksum.
-Result<Tile> DeserializeTile(const std::vector<uint8_t>& bytes);
-
+/// The tile integrity checksum: DfsTileStore stamps each tile payload with
+/// it at Put and re-checks it on every DFS read that misses the node cache,
+/// as HDFS checksums its blocks.
+///
 /// XXH64 at seed 0 over a byte range: 8-byte little-endian words fold into
 /// four independent lanes over 32-byte stripes, then XXH64's tail and
 /// avalanche steps finish the hash. Each lane round is a bijection of its

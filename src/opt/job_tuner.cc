@@ -60,8 +60,8 @@ Result<TunedMatMul> TuneMatMulParams(const TileLayout& a, const TileLayout& b,
   for (const MatMulParams& params : candidates) {
     // Split-arithmetic screening (verify.split): the candidate's blocks
     // must tile this multiply's (gi, gj, gk) grid before it is worth a
-    // probe simulation — and before Build's blocking loops could hang on
-    // a degenerate extent.
+    // probe simulation. Build would clamp a degenerate extent to 1 and
+    // probe some other split under this candidate's name.
     if (!VerifyMatMulSplit(params, a.grid_rows(), b.grid_cols(),
                            a.grid_cols())
              .ok()) {

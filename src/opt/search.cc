@@ -56,11 +56,12 @@ Result<std::vector<PlanPoint>> EnumeratePlans(const ProgramSpec& spec,
                                               const SearchSpace& space,
                                               const PredictorOptions& options) {
   std::vector<PlanPoint> points;
-  // Screen the split candidates before any prediction run: a malformed
-  // candidate (bi/bj < 1, negative bk) would hang or miscover the tile
-  // grid deep inside lowering. Grid extents are unknown at this shape-
-  // generic stage, so only the grid-independent arithmetic applies;
-  // job-level grids are re-checked by the tuner and the plan verifier.
+  // Screen the split candidates before any prediction run: Build clamps
+  // a malformed candidate (bi/bj < 1, negative bk) to some other split, so
+  // its plan points would report parameters that never ran. Grid extents
+  // are unknown at this shape-generic stage, so only the grid-independent
+  // arithmetic applies; job-level grids are re-checked by the tuner and
+  // the plan verifier.
   std::vector<MatMulParams> mm_candidates;
   for (const MatMulParams& mm : ResolveMmCandidates(space)) {
     const VerifyReport screened = VerifyMatMulSplit(mm);

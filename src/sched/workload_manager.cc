@@ -120,7 +120,6 @@ Result<int64_t> WorkloadManager::Submit(Submission submission) {
   // against matrices already in the store.
   {
     PlanVerifyOptions verify_options;
-    verify_options.cost = cost_;
     if (options_.executor.real_mode) {
       verify_options.memory_budget_bytes =
           options_.executor.memory_budget_bytes;

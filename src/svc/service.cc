@@ -352,13 +352,13 @@ JsonValue CumulonService::SubmitInternal(const SubmitRequest& request,
 
   // SUBMIT-time static verification, ahead of admission: the lowered plan
   // must pass the full verifier suite — dependency order against the
-  // catalog inputs as the resident set, exactly-once tile coverage, split
-  // arithmetic, and the lowering-stamped determinism contract. A broken
-  // plan is rejected here with its typed verify.* reason on the wire
-  // (docs/service.md), never discovered mid-execution on the fleet.
+  // catalog inputs as the resident set, split arithmetic, and the
+  // lowering-stamped determinism contract. A broken plan is rejected here
+  // with its typed verify.* reason on the wire (docs/service.md). Tile
+  // coverage is checked later, when the manager's executor builds each
+  // job to run it; a gap fails the plan before that job runs any task.
   {
     PlanVerifyOptions verify_options;
-    verify_options.cost = &options_.predictor.cost;
     verify_options.check_external = true;
     for (const TiledMatrix& input : spec->inputs) {
       verify_options.external_matrices.insert(input.name);

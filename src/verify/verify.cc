@@ -1,6 +1,5 @@
 #include "verify/verify.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -410,15 +409,6 @@ void CheckJobSplit(const MatMulJob& mm, const std::string& where,
              la.grid_cols(), where, report);
 }
 
-/// True when this MatMul job's split parameters are well-formed; used both
-/// as the split pass and as the coverage pass's guard (a bi=0 job would
-/// hang Build's blocking loops, so it must never reach them).
-bool MatMulSplitOk(const MatMulJob& mm) {
-  VerifyReport scratch;
-  CheckJobSplit(mm, "", &scratch);
-  return scratch.ok();
-}
-
 void PassPlanSplits(const PhysicalPlan& plan, const PlanVerifyOptions&,
                     VerifyReport* report) {
   for (const auto& job : plan.jobs) {
@@ -477,83 +467,6 @@ void PassPlanDependencies(const PhysicalPlan& plan,
   }
 }
 
-/// Exactly-once tile production: a dry Build (attach_work off, the same
-/// simulation-only mode the tuner probes with) yields every task's
-/// declared output tiles; per matrix they must form a dense grid with no
-/// tile produced twice and no gap.
-void PassPlanCoverage(const PhysicalPlan& plan,
-                      const PlanVerifyOptions& options,
-                      VerifyReport* report) {
-  static const TileOpCostModel kDefaultCost;
-  BuildContext ctx;
-  ctx.store = nullptr;
-  ctx.cost = options.cost != nullptr ? options.cost : &kDefaultCost;
-  ctx.attach_work = false;
-
-  std::map<std::string, std::map<TileId, int>> produced;
-  std::map<std::string, std::string> producer_name;
-  for (const auto& job : plan.jobs) {
-    if (job == nullptr) continue;  // dependency pass reports it
-    if (const auto* mm = dynamic_cast<const MatMulJob*>(job.get())) {
-      if (!MatMulSplitOk(*mm)) continue;  // split pass reports it
-    }
-    auto built = job->Build(ctx);
-    if (!built.ok()) {
-      report->Add("verify.plan.build",
-                  StrCat("job '", job->name(), "' fails to build: ",
-                         built.status().message()));
-      continue;
-    }
-    std::set<std::string> tiled;
-    for (const auto& task : built->task_outputs) {
-      for (const TileOutput& out : task) {
-        ++produced[out.matrix][out.id];
-        producer_name.emplace(out.matrix, job->name());
-        tiled.insert(out.matrix);
-      }
-    }
-    for (const std::string& out : job->OutputMatrices()) {
-      if (tiled.count(out) == 0) {
-        report->Add("verify.plan.coverage",
-                    StrCat("job '", job->name(), "' declares output '", out,
-                           "' but produces no tiles for it"));
-      }
-    }
-  }
-
-  for (const auto& [matrix, tiles] : produced) {
-    int64_t grid_rows = 0;
-    int64_t grid_cols = 0;
-    for (const auto& [id, count] : tiles) {
-      grid_rows = std::max(grid_rows, id.row + 1);
-      grid_cols = std::max(grid_cols, id.col + 1);
-      if (count > 1) {
-        report->Add("verify.plan.coverage",
-                    StrCat("tile (", id.row, ",", id.col, ") of '", matrix,
-                           "' is produced ", count, " times by job '",
-                           producer_name[matrix], "'"));
-      }
-      if (id.row < 0 || id.col < 0) {
-        report->Add("verify.plan.coverage",
-                    StrCat("tile (", id.row, ",", id.col, ") of '", matrix,
-                           "' has a negative grid index"));
-      }
-    }
-    if (static_cast<int64_t>(tiles.size()) < grid_rows * grid_cols) {
-      for (int64_t r = 0; r < grid_rows; ++r) {
-        for (int64_t c = 0; c < grid_cols; ++c) {
-          if (tiles.count(TileId{r, c}) == 0) {
-            report->Add("verify.plan.coverage",
-                        StrCat("tile (", r, ",", c, ") of '", matrix,
-                               "' is never produced (grid ", grid_rows, "x",
-                               grid_cols, ")"));
-          }
-        }
-      }
-    }
-  }
-}
-
 void PassPlanBudget(const PhysicalPlan&, const PlanVerifyOptions& options,
                     VerifyReport* report) {
   if (options.memory_budget_bytes <= 0) return;
@@ -592,8 +505,6 @@ const std::vector<PlanPassInfo>& PlanPasses() {
   static const std::vector<PlanPassInfo> passes = {
       {"job-dependencies", "verify.plan.dependency", &PassPlanDependencies},
       {"matmul-splits", "verify.split", &PassPlanSplits},
-      {"tile-coverage", "verify.plan.build / verify.plan.coverage",
-       &PassPlanCoverage},
       {"budget-feasibility", "verify.budget.infeasible", &PassPlanBudget},
       {"determinism-contract", "verify.plan.determinism",
        &PassPlanDeterminism},

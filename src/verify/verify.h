@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "cost/cost_model.h"
 #include "exec/physical_plan.h"
 #include "lang/expr.h"
 #include "obs/metrics.h"
@@ -33,8 +32,9 @@
 ///   verify.program.unbound   an Input leaf has no binding or a shape clash
 ///   verify.plan.dependency   consumed before produced / produced twice /
 ///                            consumed but never produced nor DFS-resident
-///   verify.plan.build        a job fails its own Build-time validation
-///   verify.plan.coverage     an output tile produced twice or never
+///   verify.plan.coverage     an output tile produced twice or never;
+///                            checked by Executor::Run on each job's
+///                            build, just before the job runs
 ///   verify.split             MatMul split params cannot tile the grid
 ///   verify.budget.infeasible memory budget below the cache reservation
 ///   verify.plan.determinism  lowering's seed not recorded
@@ -42,6 +42,9 @@
 /// Pipeline edges wired to these checks: after logical_optimizer rewrites,
 /// at the end of Lower(), inside opt/search + opt/job_tuner candidate
 /// enumeration, at WorkloadManager::Submit admission, and at svc SUBMIT.
+/// No pass builds a job: tile coverage is checked where the executor
+/// builds each job to run it (exec/executor.cc), so every executed plan is
+/// covered and each job is built once.
 /// Internal edges die via CHECK when CUMULON_VERIFY_FATAL is on (default
 /// in !NDEBUG builds); external admission edges always return the typed
 /// Status — rejection is their contract, not a crash.
@@ -111,12 +114,6 @@ struct LogicalVerifyOptions {
 
 /// Options of the physical-plan passes.
 struct PlanVerifyOptions {
-  /// Cost model for the dry Build the coverage pass runs (attach_work off;
-  /// exactly the simulation-only build the tuner uses). Null = a shared
-  /// default-constructed model — coverage only needs the task split
-  /// arithmetic, not calibrated constants.
-  const TileOpCostModel* cost = nullptr;
-
   /// Matrices resident in the DFS before the plan runs. Only enforced when
   /// `check_external` is on (the lowering edge knows its bindings; the
   /// admission edges cannot enumerate a TileStore and skip residency).

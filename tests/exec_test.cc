@@ -386,6 +386,191 @@ TEST(ExecSimTest, JobStartupChargedPerJob) {
 }
 
 // ---------------------------------------------------------------------------
+// Broken builds: the executor checks each job's build before the job runs
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kCheckTile = 8;
+
+TiledMatrix CheckSquare(const std::string& name, int64_t dim) {
+  return TiledMatrix{name, TileLayout::Square(dim, dim, kCheckTile)};
+}
+
+/// A job that fabricates its tile outputs, one no-op task per listed tile,
+/// so coverage mutations (gap / double write) can be injected without
+/// corrupting a real operator.
+class FakeTilesJob : public PhysicalJob {
+ public:
+  FakeTilesJob(std::string name, std::string matrix,
+               std::vector<TileId> tiles)
+      : name_(std::move(name)),
+        matrix_(std::move(matrix)),
+        tiles_(std::move(tiles)) {}
+
+  const std::string& name() const override { return name_; }
+  Result<BuiltJob> Build(const BuildContext&) const override {
+    BuiltJob built;
+    built.spec.name = name_;
+    for (const TileId& id : tiles_) {
+      Task task;
+      task.name = StrCat(name_, "_", id.row, "_", id.col);
+      built.spec.tasks.push_back(std::move(task));
+      built.task_outputs.push_back(
+          {TileOutput{matrix_, id, 16 + kCheckTile * kCheckTile * 8}});
+    }
+    return built;
+  }
+  std::vector<std::string> InputMatrices() const override { return {}; }
+  std::vector<std::string> OutputMatrices() const override {
+    return {matrix_};
+  }
+  std::string DebugString() const override { return name_; }
+
+ private:
+  std::string name_;
+  std::string matrix_;
+  std::vector<TileId> tiles_;
+};
+
+/// A sim-mode executor over a DFS holding the tile metadata of `inputs`.
+/// Plan() starts with a sound job S = |inputs[0]|, so a job appended
+/// after it that fails its check must leave all of S's tiles in the DFS
+/// and none of its own.
+class SoundJobFirst {
+ public:
+  explicit SoundJobFirst(std::vector<TiledMatrix> inputs)
+      : inputs_(std::move(inputs)),
+        dfs_([] {
+          DfsOptions options;
+          options.num_nodes = 2;
+          return options;
+        }()),
+        store_(&dfs_),
+        engine_(ClusterConfig{MachineProfile{}, 2, 2}, SimEngineOptions{}),
+        executor_(&store_, &engine_, &cost_, [] {
+          ExecutorOptions options;
+          options.real_mode = false;
+          return options;
+        }()) {
+    for (const TiledMatrix& m : inputs_) {
+      for (int64_t r = 0; r < m.layout.grid_rows(); ++r) {
+        for (int64_t c = 0; c < m.layout.grid_cols(); ++c) {
+          const int64_t bytes =
+              16 + m.layout.TileRowsAt(r) * m.layout.TileColsAt(c) * 8;
+          CUMULON_CHECK(
+              store_.PutMeta(m.name, TileId{r, c}, bytes, -1).ok());
+        }
+      }
+    }
+  }
+
+  TiledMatrix sound_output() const {
+    return TiledMatrix{"S", inputs_[0].layout};
+  }
+
+  PhysicalPlan Plan() const {
+    PhysicalPlan plan;
+    CUMULON_CHECK(AddEwChain(inputs_[0], sound_output(),
+                             {EwStep::Unary(UnaryOp::kAbs)}, &plan)
+                      .ok());
+    return plan;
+  }
+
+  Status Run(const PhysicalPlan& plan) { return executor_.Run(plan).status(); }
+
+  /// Tiles of `m`'s grid present in the DFS.
+  int64_t Tiles(const TiledMatrix& m) const {
+    int64_t present = 0;
+    for (int64_t r = 0; r < m.layout.grid_rows(); ++r) {
+      for (int64_t c = 0; c < m.layout.grid_cols(); ++c) {
+        present += dfs_.Exists(DfsTileStore::TilePath(m.name, TileId{r, c}));
+      }
+    }
+    return present;
+  }
+
+ private:
+  std::vector<TiledMatrix> inputs_;
+  SimDfs dfs_;
+  DfsTileStore store_;
+  TileOpCostModel cost_;
+  SimEngine engine_;
+  Executor executor_;
+};
+
+/// Runs FakeTilesJob writing `tiles` of a 2x2-tile M after the sound job
+/// and expects the coverage check to stop the run between the two.
+void ExpectCoverageFailure(std::vector<TileId> tiles) {
+  SoundJobFirst harness({CheckSquare("A", 32)});
+  PhysicalPlan plan = harness.Plan();
+  plan.jobs.push_back(
+      std::make_unique<FakeTilesJob>("fake", "M", std::move(tiles)));
+  const Status status = harness.Run(plan);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+  EXPECT_EQ(status.message().rfind("[verify.plan.coverage] job 'fake'", 0),
+            0u)
+      << status.message();
+  EXPECT_EQ(harness.Tiles(harness.sound_output()),
+            harness.sound_output().layout.num_tiles());
+  EXPECT_EQ(harness.Tiles(CheckSquare("M", 16)), 0);
+}
+
+TEST(VerifyPlanTest, CoverageGapCaught) {
+  // 2x2 grid with (1,0) missing.
+  ExpectCoverageFailure({{0, 0}, {0, 1}, {1, 1}});
+}
+
+TEST(VerifyPlanTest, DoubleWriteCaught) {
+  ExpectCoverageFailure({{0, 0}, {0, 0}, {0, 1}});
+}
+
+TEST(VerifyPlanTest, DeclaredOutputWithNoTilesCaught) {
+  ExpectCoverageFailure({});
+}
+
+TEST(VerifyPlanTest, SkewedTileDimensionCaught) {
+  // B's tile grid disagrees with A's on the shared k axis: the job's own
+  // Build refuses it, and the run fails before the multiply runs a task.
+  const TiledMatrix a = CheckSquare("A", 32);
+  const TiledMatrix b{"B", TileLayout::Square(32, 32, kCheckTile * 2)};
+  const TiledMatrix t = CheckSquare("T", 32);
+  SoundJobFirst harness({a, b});
+  PhysicalPlan plan = harness.Plan();
+  ASSERT_TRUE(AddMatMul(a, b, t, MatMulParams{}, {}, &plan).ok());
+  const Status status = harness.Run(plan);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_EQ(harness.Tiles(harness.sound_output()),
+            harness.sound_output().layout.num_tiles());
+  EXPECT_EQ(harness.Tiles(t), 0);
+}
+
+TEST(VerifyPlanTest, FlippedOperandOrientationCaught) {
+  // T = A^T * B with A stored 16 x 32, so op(A) is 32 x 16. Flipping the
+  // non-square operand to as-stored makes op(A) 16 x 32, whose inner
+  // dimension no longer meets B's rows: Build refuses the job.
+  const TiledMatrix a{"A", TileLayout::Square(16, 32, kCheckTile)};
+  const TiledMatrix b{"B", TileLayout::Square(16, 32, kCheckTile)};
+  const TiledMatrix t = CheckSquare("T", 32);
+  for (const Orientation orientation :
+       {Orientation::kTransposed, Orientation::kAsStored}) {
+    SoundJobFirst harness({a, b});
+    PhysicalPlan plan = harness.Plan();
+    ASSERT_TRUE(AddMatMul(MatMulOperand(a, orientation), b, t,
+                          MatMulParams{}, {}, &plan)
+                    .ok());
+    const Status status = harness.Run(plan);
+    EXPECT_EQ(harness.Tiles(harness.sound_output()),
+              harness.sound_output().layout.num_tiles());
+    if (orientation == Orientation::kTransposed) {
+      EXPECT_TRUE(status.ok()) << status;
+      EXPECT_EQ(harness.Tiles(t), t.layout.num_tiles());
+    } else {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+      EXPECT_EQ(harness.Tiles(t), 0);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Declared vs measured reads
 // ---------------------------------------------------------------------------
 

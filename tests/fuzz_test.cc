@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -303,22 +304,40 @@ TEST_P(TracedFuzzTest, TracingDoesNotPerturbResults) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TracedFuzzTest,
                          ::testing::Range<uint64_t>(1, 6));
 
-/// Both engines place tasks by one rule, and a sim-mode run registers each
-/// output tile on the machine its task ran on, as a real run writes it
-/// there. So over one DFS a simulated plan puts every task of every job on
-/// the machine the real run of it does. Replication 1 keeps each tile on
-/// its writer, so a placement difference in one job changes the preferred
-/// machines of the next.
+/// A differential oracle between the engines. Both place tasks by one
+/// rule, and a sim-mode run registers each output tile on the machine its
+/// task ran on, as a real run writes it there. So over one DFS a simulated
+/// plan puts every task of every job on the machine the real run of it
+/// does. Replication 1 keeps each tile on its writer, so a placement
+/// difference in one job changes the preferred machines of the next. The
+/// executor builds and checks each job the same way in both modes, so
+/// every job also has the same task count, the same declared bytes read
+/// and written, and leaves the same output tiles in the DFS.
 class EnginePlacementFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EnginePlacementFuzzTest, SimAndRealPlaceEveryTaskOnOneMachine) {
   const uint64_t seed = GetParam();
   const ClusterConfig cluster{MachineProfile{}, 3, 2};
-  using JobMachines = std::vector<std::pair<std::string, std::vector<int>>>;
+  // Every matrix the generator makes is at most 24 x 24, a 3 x 3 grid of
+  // 8 x 8 tiles. Probing one tile row and column past it also sees a tile
+  // written outside the grid.
+  constexpr int64_t kProbeGrid = 24 / kTile + 1;
 
-  // The machine of every task of every job of one run of the generated
-  // program; the same seed regenerates the same program, inputs and
-  // replica placement each call.
+  // One engine job (a scheduling round) as the executor reports it.
+  struct RoundRecord {
+    std::string name;
+    int num_tasks = 0;
+    std::vector<int> machines;  // per task
+    int64_t bytes_read = 0;
+    int64_t bytes_written = 0;
+  };
+  // One run of the generated program: its rounds, and per plan job the
+  // output tiles present in the DFS after the run. The same seed
+  // regenerates the same program, inputs and replica placement each call.
+  struct RunRecord {
+    std::vector<RoundRecord> rounds;
+    std::vector<std::vector<std::pair<std::string, TileId>>> job_tiles;
+  };
   auto run = [&](bool real, bool parallel) {
     ExprGenerator generator(seed);
     Program program;
@@ -347,30 +366,56 @@ TEST_P(EnginePlacementFuzzTest, SimAndRealPlaceEveryTaskOnOneMachine) {
     ExecutorOptions options;
     options.real_mode = real;
     options.parallelize_independent_jobs = parallel;
+    options.drop_temporaries = false;  // compare every job's output tiles
     Executor executor(&store, engine.get(), &cost, options);
     auto stats = executor.Run(lowered->plan);
     CUMULON_CHECK(stats.ok()) << stats.status();
 
-    JobMachines jobs;
+    RunRecord record;
     for (const JobRecord& job : stats->jobs) {
-      std::vector<int> machines;
+      RoundRecord round{job.name, job.stats.num_tasks, {},
+                        job.stats.bytes_read, job.stats.bytes_written};
       for (const TaskRunInfo& task : job.stats.task_runs) {
-        machines.push_back(task.machine);
+        round.machines.push_back(task.machine);
       }
-      jobs.emplace_back(job.name, std::move(machines));
+      record.rounds.push_back(std::move(round));
     }
-    return jobs;
+    for (const auto& job : lowered->plan.jobs) {
+      std::vector<std::pair<std::string, TileId>> tiles;
+      for (const std::string& matrix : job->OutputMatrices()) {
+        for (int64_t r = 0; r < kProbeGrid; ++r) {
+          for (int64_t c = 0; c < kProbeGrid; ++c) {
+            if (dfs.Exists(DfsTileStore::TilePath(matrix, TileId{r, c}))) {
+              tiles.emplace_back(matrix, TileId{r, c});
+            }
+          }
+        }
+      }
+      record.job_tiles.push_back(std::move(tiles));
+    }
+    return record;
   };
 
   for (const bool parallel : {false, true}) {
     SCOPED_TRACE(StrCat("seed=", seed, " parallel=", parallel));
-    const JobMachines simulated = run(false, parallel);
-    const JobMachines real = run(true, parallel);
-    ASSERT_FALSE(real.empty());
-    ASSERT_EQ(simulated.size(), real.size());
-    for (size_t j = 0; j < real.size(); ++j) {
-      EXPECT_EQ(simulated[j].first, real[j].first);
-      EXPECT_EQ(simulated[j].second, real[j].second) << real[j].first;
+    const RunRecord simulated = run(false, parallel);
+    const RunRecord real = run(true, parallel);
+    ASSERT_FALSE(real.rounds.empty());
+    ASSERT_EQ(simulated.rounds.size(), real.rounds.size());
+    for (size_t j = 0; j < real.rounds.size(); ++j) {
+      const RoundRecord& sim = simulated.rounds[j];
+      const RoundRecord& measured = real.rounds[j];
+      EXPECT_EQ(sim.name, measured.name);
+      EXPECT_EQ(sim.num_tasks, measured.num_tasks) << measured.name;
+      EXPECT_EQ(sim.machines.size(), static_cast<size_t>(sim.num_tasks));
+      EXPECT_EQ(sim.machines, measured.machines) << measured.name;
+      EXPECT_EQ(sim.bytes_read, measured.bytes_read) << measured.name;
+      EXPECT_EQ(sim.bytes_written, measured.bytes_written) << measured.name;
+    }
+    ASSERT_EQ(simulated.job_tiles.size(), real.job_tiles.size());
+    for (size_t j = 0; j < real.job_tiles.size(); ++j) {
+      EXPECT_FALSE(real.job_tiles[j].empty()) << "job #" << j;
+      EXPECT_EQ(simulated.job_tiles[j], real.job_tiles[j]) << "job #" << j;
     }
   }
 }

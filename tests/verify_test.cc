@@ -201,41 +201,6 @@ TEST(VerifyPlanTest, DuplicateProducerCaught) {
   EXPECT_TRUE(report.Has("verify.plan.dependency")) << report.ToString();
 }
 
-TEST(VerifyPlanTest, SkewedTileDimensionCaught) {
-  // B's tile grid disagrees with A's on the shared k axis; the job's own
-  // Build-time validation must fail and surface as verify.plan.build.
-  PhysicalPlan plan;
-  TiledMatrix b{"B", TileLayout::Square(32, 32, kTile * 2)};
-  CUMULON_CHECK(AddMatMul(Square("A", 32), b, Square("T", 32),
-                          MatMulParams{}, {}, &plan)
-                    .ok());
-  const VerifyReport report = VerifyPlan(plan, ExternalOptions({"A", "B"}));
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has("verify.plan.build")) << report.ToString();
-}
-
-TEST(VerifyPlanTest, FlippedOperandOrientationCaught) {
-  // T = A^T * B with A stored 16 x 32, so op(A) is 32 x 16. Flipping the
-  // non-square operand to as-stored makes op(A) 16 x 32, whose inner
-  // dimension no longer meets B's rows: Build refuses the job.
-  TiledMatrix a{"A", TileLayout::Square(16, 32, kTile)};
-  TiledMatrix b{"B", TileLayout::Square(16, 32, kTile)};
-  PhysicalPlan plan;
-  CUMULON_CHECK(AddMatMul(MatMulOperand(a, Orientation::kTransposed), b,
-                          Square("T", 32), MatMulParams{}, {}, &plan)
-                    .ok());
-  const VerifyReport clean = VerifyPlan(plan, ExternalOptions({"A", "B"}));
-  EXPECT_TRUE(clean.ok()) << clean.ToString();
-
-  const auto& mm = dynamic_cast<const MatMulJob&>(*plan.jobs[0]);
-  plan.jobs[0] = std::make_unique<MatMulJob>(
-      mm.name(), MatMulOperand(mm.a().stored, Orientation::kAsStored),
-      mm.b(), mm.out(), mm.params(), std::vector<EwStep>{});
-  const VerifyReport report = VerifyPlan(plan, ExternalOptions({"A", "B"}));
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has("verify.plan.build")) << report.ToString();
-}
-
 TEST(VerifyPlanTest, MalformedSplitCaught) {
   PhysicalPlan plan;
   CUMULON_CHECK(AddMatMul(Square("A", 32), Square("B", 32), Square("T", 32),
@@ -256,66 +221,6 @@ TEST(VerifySplitTest, StandaloneScreening) {
                   .Has("verify.split"));
   EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{1, 1, -2})
                   .Has("verify.split"));
-}
-
-/// A job that fabricates its tile outputs, so coverage mutations (gap /
-/// double write) can be injected without corrupting a real operator.
-class FakeTilesJob : public PhysicalJob {
- public:
-  FakeTilesJob(std::string name, std::string matrix,
-               std::vector<TileId> tiles)
-      : name_(std::move(name)),
-        matrix_(std::move(matrix)),
-        tiles_(std::move(tiles)) {}
-
-  const std::string& name() const override { return name_; }
-  Result<BuiltJob> Build(const BuildContext&) const override {
-    BuiltJob built;
-    built.spec.name = name_;
-    for (const TileId& id : tiles_) {
-      built.task_outputs.push_back({TileOutput{matrix_, id, kTile * kTile}});
-    }
-    return built;
-  }
-  std::vector<std::string> InputMatrices() const override { return {}; }
-  std::vector<std::string> OutputMatrices() const override {
-    return {matrix_};
-  }
-  std::string DebugString() const override { return name_; }
-
- private:
-  std::string name_;
-  std::string matrix_;
-  std::vector<TileId> tiles_;
-};
-
-TEST(VerifyPlanTest, CoverageGapCaught) {
-  PhysicalPlan plan;
-  // 2x2 grid with (1,0) missing.
-  plan.jobs.push_back(std::make_unique<FakeTilesJob>(
-      "fake", "M",
-      std::vector<TileId>{{0, 0}, {0, 1}, {1, 1}}));
-  const VerifyReport report = VerifyPlan(plan);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has("verify.plan.coverage")) << report.ToString();
-}
-
-TEST(VerifyPlanTest, DoubleWriteCaught) {
-  PhysicalPlan plan;
-  plan.jobs.push_back(std::make_unique<FakeTilesJob>(
-      "fake", "M", std::vector<TileId>{{0, 0}, {0, 0}, {0, 1}}));
-  const VerifyReport report = VerifyPlan(plan);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has("verify.plan.coverage")) << report.ToString();
-}
-
-TEST(VerifyPlanTest, DeclaredOutputWithNoTilesCaught) {
-  PhysicalPlan plan;
-  plan.jobs.push_back(
-      std::make_unique<FakeTilesJob>("fake", "M", std::vector<TileId>{}));
-  const VerifyReport report = VerifyPlan(plan);
-  ASSERT_FALSE(report.ok());
-  EXPECT_TRUE(report.Has("verify.plan.coverage")) << report.ToString();
 }
 
 TEST(VerifyPlanTest, InfeasibleBudgetCaught) {
@@ -496,7 +401,7 @@ TEST(VerifyPipelineTest, ManagerAdmitsHandBuiltPlanWithoutDeterminism) {
 
 TEST(VerifyPassRegistryTest, SuiteEnumeratesAllPasses) {
   EXPECT_GE(LogicalPasses().size(), 2u);
-  EXPECT_GE(PlanPasses().size(), 5u);
+  EXPECT_GE(PlanPasses().size(), 4u);
   for (const auto& pass : LogicalPasses()) {
     EXPECT_NE(pass.name, nullptr);
     EXPECT_NE(std::string(pass.reason).find("verify."), std::string::npos);

@@ -31,9 +31,12 @@ Checks (all run by default; exit code 0 = clean):
      parameter silencers (`(void)name;`) stay legal.
 
 4. Verifier-edge contract: every guarded pipeline edge must actually call
-   its Verify* entry point (src/verify). The table below names the edge ->
-   entry-point pairs; losing one silently un-guards that edge, so the
-   linter greps for the call.
+   its Verify* entry point (src/verify), and the executor its tile-
+   coverage check. The table below names the edge -> entry-point pairs;
+   losing one silently un-guards that edge, so the linter greps for the
+   call. No file under src/verify/ may call Build(): tile coverage is
+   checked on the build the executor runs, so a dry build there would
+   only build every job twice.
 
 5. Experiment contract (DESIGN.md -> EXPERIMENTS.md, DESIGN.md <->
    bench/CMakeLists.txt): every ID in DESIGN.md's "## Experiment index"
@@ -79,7 +82,11 @@ VERIFY_EDGE_CONTRACT = (
     ('svc/service.cc', 'VerifyPlanStatus'),
     ('opt/search.cc', 'VerifyMatMulSplit'),
     ('opt/job_tuner.cc', 'VerifyMatMulSplit'),
+    ('exec/executor.cc', 'CheckTileCoverage'),
 )
+
+# A job build (`job->Build(ctx)`, `Build (`) anywhere under src/verify/.
+VERIFY_BUILD_CALL_RE = re.compile(r'\bBuild\s*\(')
 
 # DESIGN.md's experiment index rows ("| E2 | ... | `bench_e2_split_sweep` |"),
 # EXPERIMENTS.md's section headings ("## E2 — ...") and the bench targets
@@ -182,6 +189,12 @@ def collect_code_usage(src_root):
                     f'AlignedVector/AlignedAllocator from '
                     f'common/aligned_buffer.h so tile payloads stay '
                     f'64-byte aligned)')
+            if rel.startswith('verify/') and VERIFY_BUILD_CALL_RE.search(
+                    line):
+                violations.append(
+                    f'{where}: Build() call under src/verify (tile coverage '
+                    f'is checked on the build Executor::Run runs; a dry '
+                    f'build here builds every job twice)')
             if VOID_DISCARD_RE.search(line):
                 violations.append(
                     f'{where}: banned (void) cast of a call result (drop a '
@@ -617,6 +630,31 @@ def self_test():
     expect('verifier edge file missing', SELF_TEST_DOC, SELF_TEST_SRC,
            want_clean=False, want_substring='file missing',
            edge_contract=(('gone/gone.cc', 'VerifyPlanStatus'),))
+    executor_edge = tuple(e for e in VERIFY_EDGE_CONTRACT
+                          if e[0] == 'exec/executor.cc')
+    expect('executor edge runs the coverage check', SELF_TEST_DOC,
+           SELF_TEST_SRC, want_clean=True, edge_contract=executor_edge,
+           root_files={'src/exec/executor.cc':
+                       'Status S() { return CheckTileCoverage(job, b); }\n'})
+    expect('executor edge dropped the coverage check', SELF_TEST_DOC,
+           SELF_TEST_SRC, want_clean=False,
+           want_substring='src/exec/executor.cc: guarded pipeline edge no '
+                          'longer calls CheckTileCoverage()',
+           edge_contract=executor_edge,
+           root_files={'src/exec/executor.cc': 'Status S() { return OK; }\n'})
+
+    # --- no job build under src/verify --------------------------------------
+    expect('Build() call under src/verify', SELF_TEST_DOC, SELF_TEST_SRC,
+           want_clean=False,
+           want_substring='verify/v.cc:1: Build() call under src/verify',
+           root_files={'src/verify/v.cc': 'auto b = job->Build(ctx);\n'})
+    expect('Build() named only in a src/verify comment', SELF_TEST_DOC,
+           SELF_TEST_SRC, want_clean=True,
+           root_files={'src/verify/v.cc':
+                       '// the executor calls job->Build(ctx)\n'
+                       'BuildContext Make();\n'})
+    expect('Build() call outside src/verify stays legal', SELF_TEST_DOC,
+           SELF_TEST_SRC + '\nauto b = job->Build(ctx);\n', want_clean=True)
 
     # --- experiment contract ------------------------------------------------
     experiment_files = {'DESIGN.md': SELF_TEST_DESIGN,
