@@ -112,13 +112,21 @@ int RevocationController::fired_count() const {
   return static_cast<int>(std::count(fired_.begin(), fired_.end(), true));
 }
 
-int RevocationController::FallbackMachine(int from, int num_machines,
+int RevocationController::FallbackMachine(int from, size_t task,
+                                          int num_machines,
                                           double abs_seconds) const {
+  auto candidate = [&](int step) { return (from + step) % num_machines; };
+  int live = 0;
   for (int step = 1; step <= num_machines; ++step) {
-    const int candidate = (from + step) % num_machines;
-    if (!IsRevokedAt(candidate, abs_seconds)) return candidate;
+    if (!IsRevokedAt(candidate(step), abs_seconds)) ++live;
   }
-  return -1;
+  if (live == 0) return -1;
+  size_t skip = task / static_cast<size_t>(num_machines) %
+                static_cast<size_t>(live);
+  for (int step = 1;; ++step) {
+    if (IsRevokedAt(candidate(step), abs_seconds)) continue;
+    if (skip-- == 0) return candidate(step);
+  }
 }
 
 }  // namespace cumulon

@@ -105,11 +105,16 @@ class RevocationController {
   /// How many machines have been claimed so far (fired revocations).
   int fired_count() const;
 
-  /// Smallest-index machine in [0, num_machines) still alive at
-  /// `abs_seconds`, starting the scan after `from` so relocations spread
-  /// instead of piling onto machine 0. Returns -1 when the whole fleet is
-  /// revoked.
-  int FallbackMachine(int from, int num_machines, double abs_seconds) const;
+  /// The machine that task number `task` of a job moves to when it leaves
+  /// `from`: of the machines in [0, num_machines) still alive at
+  /// `abs_seconds`, scanned in order after `from` and wrapping, the
+  /// (task / num_machines)-th, modulo their count. PlaceTasks puts tasks
+  /// without preferences round-robin, so a machine holds tasks from,
+  /// from + n, from + 2n, ..., and a revoked machine's tasks go round-robin
+  /// over the survivors instead of piling onto one. Both engines relocate
+  /// by it, so they agree. Returns -1 when the whole fleet is revoked.
+  int FallbackMachine(int from, size_t task, int num_machines,
+                      double abs_seconds) const;
 
  private:
   const RevocationSchedule schedule_;

@@ -124,7 +124,7 @@ Result<JobStats> RealEngine::RunJob(const JobSpec& job) {
       ++sync.remaining;
     }
     ++submitted;
-    pool_->Submit([&, run, machine = machine, tracer, trace_t0,
+    pool_->Submit([&, run, machine = machine, index = i, tracer, trace_t0,
                    &task = task]() mutable {
       Stopwatch task_clock;
       run->start_seconds = job_clock.ElapsedSeconds();
@@ -148,7 +148,7 @@ Result<JobStats> RealEngine::RunJob(const JobSpec& job) {
                  ctrl->IsRevokedAt(machine, ctrl->WallNowSeconds())) {
             observe_revocation(machine);
             const int next = ctrl->FallbackMachine(
-                machine, config_.num_machines, ctrl->WallNowSeconds());
+                machine, index, config_.num_machines, ctrl->WallNowSeconds());
             if (next < 0) {
               fleet_gone = true;
               break;

@@ -131,8 +131,8 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
   };
   // Moves a task off a revoked machine the way the real engine's worker
   // does; false when the whole fleet is gone.
-  auto relocate = [&](int* machine, double abs_seconds) {
-    *machine = ctrl->FallbackMachine(*machine, machines, abs_seconds);
+  auto relocate = [&](int* machine, size_t task, double abs_seconds) {
+    *machine = ctrl->FallbackMachine(*machine, task, machines, abs_seconds);
     return *machine >= 0;
   };
   auto fleet_gone = [](const Task& task) {
@@ -156,7 +156,7 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
     double start = lane_free[lane];
     int machine = placement[i];
     // No attempt starts on a machine that is already revoked.
-    if (revoked(machine, start) && !relocate(&machine, origin + start)) {
+    if (revoked(machine, start) && !relocate(&machine, i, origin + start)) {
       return fleet_gone(task);
     }
     bool local = RunsLocal(task, machine);
@@ -212,7 +212,7 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
       ++kills_per_machine[machine];
       ++attempts;
       start = kill_time;
-      if (!relocate(&machine, std::max(death, origin + start))) {
+      if (!relocate(&machine, i, std::max(death, origin + start))) {
         return fleet_gone(task);
       }
       local = RunsLocal(task, machine);

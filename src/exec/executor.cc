@@ -221,6 +221,7 @@ BuildContext Executor::MakeBuildContext(
     ctx.node_cache_bytes = caches->bytes_per_node();
     ctx.cache_nodes = engine_->config().num_machines;
   }
+  ctx.total_slots = engine_->config().total_slots();
   // task_pin_bytes feeds two consumers: real-mode task readers pin against
   // it, and the declared-cost streaming term predicts refetch reads from it
   // — so it is derived from the budget in both modes, while the ledger

@@ -340,6 +340,18 @@ int64_t MatMulJob::TaskMemoryBytes(const TileLayout& a, const TileLayout& b,
   return bi * bk * a_tile + bk * bj * b_tile + c_tile;
 }
 
+int64_t MatMulJob::RowPanelsPerTask(int64_t gi, int total_slots) {
+  if (total_slots <= 0 || gi <= 1) return 1;
+  auto ceil_div = [](int64_t n, int64_t d) { return (n + d - 1) / d; };
+  const int64_t panels_per_slot = ceil_div(gi, total_slots);
+  for (int64_t b = RowPanelJob::kPanelsPerTask; b > 1; --b) {
+    if (b * ceil_div(ceil_div(gi, b), total_slots) <= panels_per_slot) {
+      return b;
+    }
+  }
+  return 1;
+}
+
 std::vector<std::string> MatMulJob::InputMatrices() const {
   std::vector<std::string> in = {a_.stored.name, b_.stored.name};
   if (NumKSplits() == 1) AppendStepOperands(epilogue_, &in);
@@ -388,7 +400,9 @@ Result<BuiltJob> MatMulJob::Build(const BuildContext& ctx) const {
   const int64_t gi = la.grid_rows();
   const int64_t gj = lb.grid_cols();
   const int64_t gk = la.grid_cols();
-  const int64_t bi = std::clamp<int64_t>(params_.bi, 1, gi);
+  const int64_t bi = params_.bi == 0
+                         ? RowPanelsPerTask(gi, ctx.total_slots)
+                         : std::clamp<int64_t>(params_.bi, 1, gi);
   const int64_t bj = std::clamp<int64_t>(params_.bj, 1, gj);
   const int64_t bk =
       params_.bk <= 0 ? gk : std::clamp<int64_t>(params_.bk, 1, gk);

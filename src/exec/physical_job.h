@@ -42,6 +42,14 @@ struct BuildContext {
   int64_t node_cache_bytes = 0;
   int cache_nodes = 0;
 
+  /// Task slots of the whole cluster that will run the job (machines x
+  /// slots per machine). A multiply built with bi = 0 sizes its row groups
+  /// from it (MatMulJob::RowPanelsPerTask). The executor fills it from its
+  /// engine in both modes, so a prediction builds the tasks a real run
+  /// would; 0 = unknown (tuner probes, direct builds), which gives one row
+  /// panel per task.
+  int total_slots = 0;
+
   /// Per-task in-flight prefetch budget in bytes for the double-buffered
   /// task bodies (TaskTileReader): each task hints its reads in compute
   /// order and keeps up to this many bytes downloading ahead of the
@@ -104,6 +112,9 @@ class PhysicalJob {
 /// the per-operator knobs Cumulon's optimizer tunes: larger blocks amortize
 /// input reads (each A tile is read by fewer tasks) but reduce parallelism.
 /// bk <= 0 means "fold the entire k dimension in one task" (no split-k).
+/// bi = 0 means "sized by the build": MatMulJob::Build groups row panels
+/// for the cluster's slots (MatMulJob::RowPanelsPerTask). Lowering emits
+/// it for a multiply whose op(B) spans one tile column.
 struct MatMulParams {
   int64_t bi = 1;
   int64_t bj = 1;
@@ -180,6 +191,14 @@ class MatMulJob : public PhysicalJob {
   static int64_t TaskMemoryBytes(const TileLayout& a, const TileLayout& b,
                                  const MatMulParams& params);
 
+  /// The row panels one task covers when bi = 0: the largest group of at
+  /// most RowPanelJob::kPanelsPerTask panels that adds no row-panel work
+  /// to any of `total_slots` slots, i.e. the largest b with
+  /// b * ceil(ceil(gi / b) / S) <= ceil(gi / S). Each slot then does the
+  /// row-panel work of one panel per task, and reads op(B) once per group
+  /// instead of once per panel. 1 when `total_slots` is 0 (unknown).
+  static int64_t RowPanelsPerTask(int64_t gi, int total_slots);
+
   /// Name of the partial-product matrix for k-range `p`.
   static std::string PartialName(const std::string& out, int64_t p);
 
@@ -203,7 +222,9 @@ class RowPanelJob : public PhysicalJob {
  public:
   /// Row panels per task. Every task holds and writes one full partial of
   /// Z, so this sets how many partials (and how much partial memory) the
-  /// chain costs against how many tasks share the read of X.
+  /// chain costs against how many tasks share the read of X. It also
+  /// bounds the row groups of a multiply built with bi = 0
+  /// (MatMulJob::RowPanelsPerTask).
   static constexpr int64_t kPanelsPerTask = 2;
 
   /// Output tiles per task of the merging SumJob: the partials are few and

@@ -101,11 +101,12 @@ class Lowerer {
   }
 
  private:
+  /// The split of a multiply of op(A) = `a` by op(B) = `b`. Without a
+  /// chooser, a one-tile-column op(B) leaves bi = 0: the build shares each
+  /// read of it among as many row panels as the cluster's slots allow.
   MatMulParams ChooseMatMulParams(const TileLayout& a, const TileLayout& b) {
-    if (options_.mm_params) {
-      return options_.mm_params(a.grid_rows(), b.grid_cols(), a.grid_cols());
-    }
-    return MatMulParams{1, 1, 0};
+    if (options_.mm_params) return options_.mm_params(a, b);
+    return MatMulParams{b.grid_cols() == 1 ? 0 : 1, 1, 0};
   }
 
   std::string FreshTempName() {

@@ -15,7 +15,7 @@ namespace cumulon {
 
 /// Knobs of logical-to-physical lowering. The multiply split parameters
 /// are per-job physical knobs the deployment optimizer tunes; `mm_params`
-/// lets it inject its choice per multiply shape.
+/// lets it inject its choice per multiply.
 struct LoweringOptions {
   /// Tile dimension for intermediate/output matrices. Program inputs carry
   /// their own layouts, which must be tile-compatible with this.
@@ -35,9 +35,13 @@ struct LoweringOptions {
   /// assignments both need) instead of recomputing them.
   bool enable_cse = true;
 
-  /// Chooses MatMul split parameters given the job's tile-grid extents
-  /// (gi, gj, gk). Null = MatMulParams{1, 1, 0}.
-  std::function<MatMulParams(int64_t, int64_t, int64_t)> mm_params;
+  /// Chooses MatMul split parameters given the layouts of the job's
+  /// logical operands op(A) and op(B). Null = MatMulParams{0, 1, 0} for a
+  /// multiply whose op(B) spans one tile column (its row groups sized for
+  /// the cluster when the job is built) and MatMulParams{1, 1, 0} for any
+  /// other.
+  std::function<MatMulParams(const TileLayout&, const TileLayout&)>
+      mm_params;
 
   /// Prefix for generated intermediate matrix names.
   std::string temp_prefix = "tmp";

@@ -53,15 +53,12 @@ Result<PredictionResult> PredictProgram(const ProgramSpec& spec,
   lowering.seed = options.seed;
   if (options.tune_mm_per_job) {
     // Per-operator optimization: choose every multiply's splits for this
-    // cluster. The callback only sees grid extents, so reconstruct
-    // uniform layouts at the configured tile size (edge raggedness does
-    // not move the optimum).
-    const int64_t tile = lowering.tile_dim;
+    // cluster, probing the multiply's own operand layouts.
     const TileOpCostModel cost = options.cost;
     const SimEngineOptions sim = sim_base;
     const double job_startup = options.job_startup_seconds;
-    lowering.mm_params = [cluster, cost, sim, job_startup, tile](
-                             int64_t gi, int64_t gj, int64_t gk) {
+    lowering.mm_params = [cluster, cost, sim, job_startup](
+                             const TileLayout& a, const TileLayout& b) {
       TuneOptions tune;
       tune.sim = sim;
       // Probe simulations are what-if runs, not the predicted schedule;
@@ -72,8 +69,6 @@ Result<PredictionResult> PredictProgram(const ProgramSpec& spec,
       tune.sim.metrics = nullptr;
       tune.sim.revocation = nullptr;
       tune.job_startup_seconds = job_startup;
-      const TileLayout a(gi * tile, gk * tile, tile, tile);
-      const TileLayout b(gk * tile, gj * tile, tile, tile);
       auto tuned = TuneMatMulParams(a, b, cluster, cost, tune);
       if (!tuned.ok()) {
         CUMULON_LOG(Warning) << "multiply tuning failed ("

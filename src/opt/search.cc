@@ -57,7 +57,7 @@ Result<std::vector<PlanPoint>> EnumeratePlans(const ProgramSpec& spec,
                                               const PredictorOptions& options) {
   std::vector<PlanPoint> points;
   // Screen the split candidates before any prediction run: Build clamps
-  // a malformed candidate (bi/bj < 1, negative bk) to some other split, so
+  // a malformed candidate (negative bi, bj < 1, negative bk) to some other split, so
   // its plan points would report parameters that never ran. Grid extents
   // are unknown at this shape-generic stage, so only the grid-independent
   // arithmetic applies; job-level grids are re-checked by the tuner and
@@ -90,9 +90,8 @@ Result<std::vector<PlanPoint>> EnumeratePlans(const ProgramSpec& spec,
         } else {
           for (const MatMulParams& mm : mm_candidates) {
             PredictorOptions opts = options;
-            opts.lowering.mm_params = [mm](int64_t, int64_t, int64_t) {
-              return mm;
-            };
+            opts.lowering.mm_params = [mm](const TileLayout&,
+                                           const TileLayout&) { return mm; };
             CUMULON_ASSIGN_OR_RETURN(PredictionResult prediction,
                                      PredictProgram(spec, cluster, opts));
             if (!have_best || prediction.seconds < best.seconds) {

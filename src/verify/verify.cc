@@ -369,10 +369,14 @@ void PassProgramExprs(const Program& program, const LogicalVerifyOptions&,
 
 void CheckSplit(const MatMulParams& params, int64_t gi, int64_t gj,
                 int64_t gk, const std::string& where, VerifyReport* report) {
-  if (params.bi < 1 || params.bj < 1) {
+  // bi = 0 is "sized by the build" (MatMulJob::RowPanelsPerTask), which
+  // tiles any grid; the executor's coverage check sees the resolved one.
+  if (params.bi < 0 || params.bj < 1) {
     report->Add("verify.split",
                 StrCat(where, ": block extents bi=", params.bi,
-                       " bj=", params.bj, " must be >= 1"));
+                       " bj=", params.bj,
+                       " must be bi >= 0 (0 = sized for the cluster) and"
+                       " bj >= 1"));
     return;
   }
   if (params.bk < 0) {
@@ -395,7 +399,7 @@ void CheckSplit(const MatMulParams& params, int64_t gi, int64_t gj,
                          axis, " grid of ", grid));
     }
   };
-  covers(gi, params.bi, "i");
+  if (params.bi > 0) covers(gi, params.bi, "i");
   covers(gj, params.bj, "j");
   if (params.bk > 0) covers(gk, params.bk, "k");
 }

@@ -164,8 +164,10 @@ VerifyReport VerifyPlan(const PhysicalPlan& plan,
                         const PlanVerifyOptions& options = {});
 
 /// Checks that MatMul split parameters (bi, bj, bk) tile a (gi x gj x gk)
-/// tile grid: positive block extents, and the ceil-division block ranges
-/// cover every tile exactly once with a correct short tail. Negative grid
+/// tile grid: positive block extents, except bi = 0, which the build sizes
+/// for the cluster (MatMulJob::RowPanelsPerTask), and the ceil-division
+/// block ranges cover every tile exactly once with a correct short tail.
+/// Negative grid
 /// extents skip the grid-dependent arithmetic (shape-generic candidates in
 /// opt/search are screened before the grid is known).
 VerifyReport VerifyMatMulSplit(const MatMulParams& params, int64_t gi = -1,

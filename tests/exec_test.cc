@@ -619,6 +619,59 @@ TEST(ExecIoTest, BlockedMatMulReadsExactlyWhatItDeclares) {
   }
 }
 
+TEST(ExecIoTest, GroupedNarrowMatMulReadsExactlyWhatItDeclares) {
+  // A is 64 x 24 in 8 x 8 tiles (8 row panels of 3 tiles), B one ragged
+  // tile column (24 x 5) and y a column vector the epilogue adds. With
+  // bi = 0 on 4 slots each task covers two row panels, so the 4 tasks
+  // read A once, y once and B once each, the second panel's B reads
+  // served by the memo. One slot per machine keeps the tasks on separate
+  // nodes, where the store cannot coalesce two tasks' concurrent
+  // prefetches of B into one read.
+  for (const int64_t prefetch_bytes : {int64_t{0}, int64_t{64} << 20}) {
+    SCOPED_TRACE(StrCat("prefetch window ", prefetch_bytes));
+    SimDfs dfs(DfsOptions{});
+    DfsTileStore store(&dfs);
+    store.EnablePrefetch(2);
+    TiledMatrix a{"A", TileLayout::Square(64, 24, 8)};
+    TiledMatrix b{"B", TileLayout::Square(24, 5, 8)};
+    TiledMatrix y{"y", TileLayout::Square(64, 1, 8)};
+    TiledMatrix c{"C", TileLayout::Square(64, 5, 8)};
+    Rng rng(7);
+    ASSERT_TRUE(StoreDense(DenseMatrix::Gaussian(64, 24, &rng), a, &store)
+                    .ok());
+    ASSERT_TRUE(StoreDense(DenseMatrix::Gaussian(24, 5, &rng), b, &store)
+                    .ok());
+    ASSERT_TRUE(StoreDense(DenseMatrix::Gaussian(64, 1, &rng), y, &store)
+                    .ok());
+    MetricsRegistry metrics;
+    store.AttachMetrics(&metrics);  // after the input writes: reads only
+
+    RealEngine engine(ClusterConfig{MachineProfile{}, 4, 1},
+                      RealEngineOptions{});
+    TileOpCostModel cost;
+    ExecutorOptions options;
+    options.prefetch_budget_bytes = prefetch_bytes;
+    Executor executor(&store, &engine, &cost, options);
+    PhysicalPlan plan;
+    ASSERT_TRUE(AddMatMul(a, b, c, MatMulParams{0, 1, 0},
+                          {EwStep::Binary(BinaryOp::kAdd, "y", false,
+                                          EwStep::Operand::kColVector)},
+                          &plan)
+                    .ok());
+    auto stats = executor.Run(plan);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+
+    const MetricsSnapshot snapshot = metrics.Snapshot();
+    EXPECT_EQ(stats->total_tasks, 4);
+    // 24 A tiles, B's 3 tiles once per task, 8 y tiles.
+    EXPECT_EQ(snapshot.CounterOr("dfs.read.ops", -1), 24 + 4 * 3 + 8);
+    EXPECT_EQ(stats->bytes_read, 24 * (16 + 8 * 8 * 8) +
+                                     4 * 3 * (16 + 8 * 5 * 8) +
+                                     8 * (16 + 8 * 8));
+    EXPECT_EQ(snapshot.CounterOr("dfs.read.bytes", -1), stats->bytes_read);
+  }
+}
+
 TEST(ExecIoTest, RowPanelReadsExactlyWhatItDeclares) {
   // X is 40 x 16 in 8 x 8 tiles: 5 row panels, so three tasks, the last
   // with one panel. Each task must read its panels of X once although it

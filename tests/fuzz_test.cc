@@ -5,9 +5,11 @@
 // broadcasts, aggregates, transposes, chain reordering, CSE) no
 // hand-written test enumerates.
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -315,108 +317,172 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TracedFuzzTest,
 /// and written, and leaves the same output tiles in the DFS.
 class EnginePlacementFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// One engine job (a scheduling round) as the executor reports it.
+struct RoundRecord {
+  std::string name;
+  int num_tasks = 0;
+  std::vector<int> machines;  // per task
+  int64_t bytes_read = 0;
+  int64_t bytes_written = 0;
+};
+
+/// One run of a program: its rounds, and per plan job the output tiles
+/// present in the DFS after the run.
+struct RunRecord {
+  std::vector<RoundRecord> rounds;
+  std::vector<std::vector<std::pair<std::string, TileId>>> job_tiles;
+};
+
+/// Stores a program's inputs and binds them. Each call must store the
+/// same inputs in the same order, so replica placement repeats too.
+using Materializer =
+    std::function<Status(TileStore*, std::map<std::string, TiledMatrix>*)>;
+
+/// Runs `program` on `cluster` over a fresh DFS with replication 1, on
+/// the real engine or the simulator, and records it. Output tiles are
+/// probed on a `probe_grid` x `probe_grid` grid, which must reach one tile
+/// row and column past every output to also see a tile written outside.
+RunRecord RunOnEngine(const Program& program, const Materializer& materialize,
+                      const ClusterConfig& cluster, int64_t probe_grid,
+                      bool real, bool parallel) {
+  DfsOptions dfs_options;
+  dfs_options.num_nodes = cluster.num_machines;
+  dfs_options.replication = 1;
+  SimDfs dfs(dfs_options);
+  DfsTileStore store(&dfs);
+  std::map<std::string, TiledMatrix> bindings;
+  CUMULON_CHECK(materialize(&store, &bindings).ok());
+  LoweringOptions lowering;
+  lowering.tile_dim = kTile;
+  auto lowered = Lower(program, bindings, lowering);
+  CUMULON_CHECK(lowered.ok()) << lowered.status();
+
+  std::unique_ptr<Engine> engine;
+  if (real) {
+    engine = std::make_unique<RealEngine>(cluster, RealEngineOptions{});
+  } else {
+    engine = std::make_unique<SimEngine>(cluster, SimEngineOptions{});
+  }
+  TileOpCostModel cost;
+  ExecutorOptions options;
+  options.real_mode = real;
+  options.parallelize_independent_jobs = parallel;
+  options.drop_temporaries = false;  // compare every job's output tiles
+  Executor executor(&store, engine.get(), &cost, options);
+  auto stats = executor.Run(lowered->plan);
+  CUMULON_CHECK(stats.ok()) << stats.status();
+
+  RunRecord record;
+  for (const JobRecord& job : stats->jobs) {
+    RoundRecord round{job.name, job.stats.num_tasks, {},
+                      job.stats.bytes_read, job.stats.bytes_written};
+    for (const TaskRunInfo& task : job.stats.task_runs) {
+      round.machines.push_back(task.machine);
+    }
+    record.rounds.push_back(std::move(round));
+  }
+  for (const auto& job : lowered->plan.jobs) {
+    std::vector<std::pair<std::string, TileId>> tiles;
+    for (const std::string& matrix : job->OutputMatrices()) {
+      for (int64_t r = 0; r < probe_grid; ++r) {
+        for (int64_t c = 0; c < probe_grid; ++c) {
+          if (dfs.Exists(DfsTileStore::TilePath(matrix, TileId{r, c}))) {
+            tiles.emplace_back(matrix, TileId{r, c});
+          }
+        }
+      }
+    }
+    record.job_tiles.push_back(std::move(tiles));
+  }
+  return record;
+}
+
+void ExpectSameRuns(const RunRecord& simulated, const RunRecord& real) {
+  ASSERT_FALSE(real.rounds.empty());
+  ASSERT_EQ(simulated.rounds.size(), real.rounds.size());
+  for (size_t j = 0; j < real.rounds.size(); ++j) {
+    const RoundRecord& sim = simulated.rounds[j];
+    const RoundRecord& measured = real.rounds[j];
+    EXPECT_EQ(sim.name, measured.name);
+    EXPECT_EQ(sim.num_tasks, measured.num_tasks) << measured.name;
+    EXPECT_EQ(sim.machines.size(), static_cast<size_t>(sim.num_tasks));
+    EXPECT_EQ(sim.machines, measured.machines) << measured.name;
+    EXPECT_EQ(sim.bytes_read, measured.bytes_read) << measured.name;
+    EXPECT_EQ(sim.bytes_written, measured.bytes_written) << measured.name;
+  }
+  ASSERT_EQ(simulated.job_tiles.size(), real.job_tiles.size());
+  for (size_t j = 0; j < real.job_tiles.size(); ++j) {
+    EXPECT_FALSE(real.job_tiles[j].empty()) << "job #" << j;
+    EXPECT_EQ(simulated.job_tiles[j], real.job_tiles[j]) << "job #" << j;
+  }
+}
+
 TEST_P(EnginePlacementFuzzTest, SimAndRealPlaceEveryTaskOnOneMachine) {
   const uint64_t seed = GetParam();
   const ClusterConfig cluster{MachineProfile{}, 3, 2};
   // Every matrix the generator makes is at most 24 x 24, a 3 x 3 grid of
-  // 8 x 8 tiles. Probing one tile row and column past it also sees a tile
-  // written outside the grid.
+  // 8 x 8 tiles.
   constexpr int64_t kProbeGrid = 24 / kTile + 1;
-
-  // One engine job (a scheduling round) as the executor reports it.
-  struct RoundRecord {
-    std::string name;
-    int num_tasks = 0;
-    std::vector<int> machines;  // per task
-    int64_t bytes_read = 0;
-    int64_t bytes_written = 0;
-  };
-  // One run of the generated program: its rounds, and per plan job the
-  // output tiles present in the DFS after the run. The same seed
-  // regenerates the same program, inputs and replica placement each call.
-  struct RunRecord {
-    std::vector<RoundRecord> rounds;
-    std::vector<std::vector<std::pair<std::string, TileId>>> job_tiles;
-  };
   auto run = [&](bool real, bool parallel) {
+    // The same seed regenerates the same program and inputs each call.
     ExprGenerator generator(seed);
     Program program;
     program.Assign("out1", generator.Generate(3, 16, 24));
     program.Assign("out2", generator.Generate(2, 24, 8));
-
-    DfsOptions dfs_options;
-    dfs_options.num_nodes = cluster.num_machines;
-    dfs_options.replication = 1;
-    SimDfs dfs(dfs_options);
-    DfsTileStore store(&dfs);
-    std::map<std::string, TiledMatrix> bindings;
-    CUMULON_CHECK(generator.Materialize(&store, &bindings).ok());
-    LoweringOptions lowering;
-    lowering.tile_dim = kTile;
-    auto lowered = Lower(program, bindings, lowering);
-    CUMULON_CHECK(lowered.ok()) << lowered.status();
-
-    std::unique_ptr<Engine> engine;
-    if (real) {
-      engine = std::make_unique<RealEngine>(cluster, RealEngineOptions{});
-    } else {
-      engine = std::make_unique<SimEngine>(cluster, SimEngineOptions{});
-    }
-    TileOpCostModel cost;
-    ExecutorOptions options;
-    options.real_mode = real;
-    options.parallelize_independent_jobs = parallel;
-    options.drop_temporaries = false;  // compare every job's output tiles
-    Executor executor(&store, engine.get(), &cost, options);
-    auto stats = executor.Run(lowered->plan);
-    CUMULON_CHECK(stats.ok()) << stats.status();
-
-    RunRecord record;
-    for (const JobRecord& job : stats->jobs) {
-      RoundRecord round{job.name, job.stats.num_tasks, {},
-                        job.stats.bytes_read, job.stats.bytes_written};
-      for (const TaskRunInfo& task : job.stats.task_runs) {
-        round.machines.push_back(task.machine);
-      }
-      record.rounds.push_back(std::move(round));
-    }
-    for (const auto& job : lowered->plan.jobs) {
-      std::vector<std::pair<std::string, TileId>> tiles;
-      for (const std::string& matrix : job->OutputMatrices()) {
-        for (int64_t r = 0; r < kProbeGrid; ++r) {
-          for (int64_t c = 0; c < kProbeGrid; ++c) {
-            if (dfs.Exists(DfsTileStore::TilePath(matrix, TileId{r, c}))) {
-              tiles.emplace_back(matrix, TileId{r, c});
-            }
-          }
-        }
-      }
-      record.job_tiles.push_back(std::move(tiles));
-    }
-    return record;
+    return RunOnEngine(
+        program,
+        [&generator](TileStore* store,
+                     std::map<std::string, TiledMatrix>* bindings) {
+          return generator.Materialize(store, bindings);
+        },
+        cluster, kProbeGrid, real, parallel);
   };
 
   for (const bool parallel : {false, true}) {
     SCOPED_TRACE(StrCat("seed=", seed, " parallel=", parallel));
-    const RunRecord simulated = run(false, parallel);
-    const RunRecord real = run(true, parallel);
-    ASSERT_FALSE(real.rounds.empty());
-    ASSERT_EQ(simulated.rounds.size(), real.rounds.size());
-    for (size_t j = 0; j < real.rounds.size(); ++j) {
-      const RoundRecord& sim = simulated.rounds[j];
-      const RoundRecord& measured = real.rounds[j];
-      EXPECT_EQ(sim.name, measured.name);
-      EXPECT_EQ(sim.num_tasks, measured.num_tasks) << measured.name;
-      EXPECT_EQ(sim.machines.size(), static_cast<size_t>(sim.num_tasks));
-      EXPECT_EQ(sim.machines, measured.machines) << measured.name;
-      EXPECT_EQ(sim.bytes_read, measured.bytes_read) << measured.name;
-      EXPECT_EQ(sim.bytes_written, measured.bytes_written) << measured.name;
-    }
-    ASSERT_EQ(simulated.job_tiles.size(), real.job_tiles.size());
-    for (size_t j = 0; j < real.job_tiles.size(); ++j) {
-      EXPECT_FALSE(real.job_tiles[j].empty()) << "job #" << j;
-      EXPECT_EQ(simulated.job_tiles[j], real.job_tiles[j]) << "job #" << j;
-    }
+    ExpectSameRuns(run(false, parallel), run(true, parallel));
+  }
+}
+
+TEST_P(EnginePlacementFuzzTest, NarrowMultipliesAgreeOnEveryClusterSize) {
+  // Multiplies by a one-tile-column operand, as stored and read
+  // transposed in place, over 4 to 12 row panels: their builds group row
+  // panels for the cluster's slots, so each cluster size builds its own
+  // task list, and both engines must build and place the same one.
+  const uint64_t seed = GetParam();
+  const int64_t rows = kTile * static_cast<int64_t>(4 + seed % 9);
+  const Program program = [&] {
+    Program p;
+    auto a = Expr::Input("A", rows, 24);
+    p.Assign("out1",
+             Expr::EwUnary(UnaryOp::kScale, a * Expr::Input("B", 24, 5),
+                           0.5));
+    p.Assign("out2", a * Expr::Transpose(Expr::Input("C", 8, 24)));
+    return p;
+  }();
+  const Materializer materialize =
+      [&](TileStore* store, std::map<std::string, TiledMatrix>* bindings) {
+        Rng rng(seed);
+        for (const auto& [name, r, c] :
+             std::vector<std::tuple<std::string, int64_t, int64_t>>{
+                 {"A", rows, 24}, {"B", 24, 5}, {"C", 8, 24}}) {
+          const TiledMatrix m{name, TileLayout::Square(r, c, kTile)};
+          CUMULON_RETURN_IF_ERROR(
+              StoreDense(DenseMatrix::Gaussian(r, c, &rng), m, store));
+          bindings->insert_or_assign(name, m);
+        }
+        return Status::OK();
+      };
+  for (const auto& [machines, slots] :
+       std::vector<std::pair<int, int>>{{1, 1}, {2, 2}, {4, 2}}) {
+    const ClusterConfig cluster{MachineProfile{}, machines, slots};
+    SCOPED_TRACE(StrCat("seed=", seed, " rows=", rows, " cluster=", machines,
+                        "x", slots));
+    ExpectSameRuns(
+        RunOnEngine(program, materialize, cluster, rows / kTile + 1, false,
+                    false),
+        RunOnEngine(program, materialize, cluster, rows / kTile + 1, true,
+                    false));
   }
 }
 

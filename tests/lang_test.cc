@@ -365,19 +365,24 @@ TEST_F(LangExecTest, LinRegStepEndToEnd) {
   ExpectMatches(outputs.at("w"), *expected, 1e-8);
 }
 
-TEST_F(LangExecTest, MatMulParamsCallbackReceivesGridDims) {
-  Bind("A", 32, 16);
-  Bind("B", 16, 24);
+TEST_F(LangExecTest, MatMulParamsCallbackReceivesOperandLayouts) {
+  // A is read transposed in place and B is one ragged tile column: the
+  // chooser sees op(A) and op(B) as the multiply reads them, edge tiles
+  // included.
+  Bind("A", 20, 32);
+  Bind("B", 20, 5);
   Program p;
-  p.Assign("C", Expr::Input("A", 32, 16) * Expr::Input("B", 16, 24));
+  p.Assign("C", T(Expr::Input("A", 20, 32)) * Expr::Input("B", 20, 5));
   LoweringOptions options;
   options.tile_dim = 8;
   bool called = false;
-  options.mm_params = [&called](int64_t gi, int64_t gj, int64_t gk) {
+  options.mm_params = [&called](const TileLayout& a, const TileLayout& b) {
     called = true;
-    EXPECT_EQ(gi, 4);
-    EXPECT_EQ(gj, 3);
-    EXPECT_EQ(gk, 2);
+    EXPECT_EQ(a, TileLayout::Square(32, 20, 8));
+    EXPECT_EQ(b, TileLayout::Square(20, 5, 8));
+    EXPECT_EQ(a.grid_rows(), 4);
+    EXPECT_EQ(a.grid_cols(), 3);
+    EXPECT_EQ(b.grid_cols(), 1);
     return MatMulParams{1, 1, 0};
   };
   auto lowered = Lower(p, bindings_, options);

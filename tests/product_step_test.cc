@@ -187,7 +187,8 @@ TEST(ProductStepPlanTest, TransposedFactorStaysAJob) {
 
 TEST(ProductStepPlanTest, CseHitReadsTheMaterializedProduct) {
   // Z's multiply lowers L * R as a value first, so Y's step finds it in
-  // the CSE table and reads that matrix.
+  // the CSE table and reads that matrix. C is one tile column, so Z's
+  // multiply leaves its row groups to the build (bi=0).
   auto l = Expr::Input("L", 24, 4);
   auto r = Expr::Input("R", 4, 16);
   Program p;
@@ -199,7 +200,7 @@ TEST(ProductStepPlanTest, CseHitReadsTheMaterializedProduct) {
   const LoweredProgram lowered = LowerOrDie(p, bindings);
   EXPECT_EQ(lowered.plan.DebugString(),
             "MatMul[mm_tmp_0] tmp_0 = L * R (bi=1,bj=1,bk=-1)\n"
-            "MatMul[mm_Z] Z = tmp_0 * C (bi=1,bj=1,bk=-1)\n"
+            "MatMul[mm_Z] Z = tmp_0 * C (bi=0,bj=1,bk=-1)\n"
             "MatMul[mm_Y] Y = A * B (bi=1,bj=1,bk=-1) epi{div(v, tmp_0)}\n");
 }
 
@@ -287,7 +288,7 @@ RunOutput Execute(const Program& program, const GnmfSpec& spec,
   }
   LoweringOptions lowering;
   if (config.split_k) {
-    lowering.mm_params = [](int64_t, int64_t, int64_t) {
+    lowering.mm_params = [](const TileLayout&, const TileLayout&) {
       return MatMulParams{2, 2, 1};
     };
   }

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,17 +105,29 @@ TEST(RevocationControllerTest, FallbackMachineScansAfterFromAndWraps) {
   RevocationController ctrl(
       RevocationSchedule::Scripted({{1, 0.0}, {2, 0.0}}));
   // From the dying machine 1, the scan skips dead 2 and lands on 3.
-  EXPECT_EQ(ctrl.FallbackMachine(1, 4, 5.0), 3);
+  EXPECT_EQ(ctrl.FallbackMachine(1, 1, 4, 5.0), 3);
   // From 3 the scan wraps to 0.
-  EXPECT_EQ(ctrl.FallbackMachine(3, 4, 5.0), 0);
+  EXPECT_EQ(ctrl.FallbackMachine(3, 3, 4, 5.0), 0);
   // Before the instants everything is alive.
-  EXPECT_EQ(ctrl.FallbackMachine(0, 4, -1.0), 1);
+  EXPECT_EQ(ctrl.FallbackMachine(0, 0, 4, -1.0), 1);
+}
+
+TEST(RevocationControllerTest, FallbackMachineSpreadsARevokedMachinesTasks) {
+  RevocationController ctrl(RevocationSchedule::Scripted({{3, 0.0}}));
+  // Round-robin placement gives machine 3 of 4 the tasks 3, 7, 11, ...;
+  // they go round-robin over the survivors 0, 1 and 2.
+  std::vector<int> landed;
+  for (size_t task = 3; task < 32; task += 4) {
+    landed.push_back(ctrl.FallbackMachine(3, task, 4, 1.0));
+  }
+  EXPECT_EQ(landed, (std::vector<int>{0, 1, 2, 0, 1, 2, 0, 1}));
 }
 
 TEST(RevocationControllerTest, FallbackMachineReportsFleetGone) {
   RevocationController ctrl(
       RevocationSchedule::Scripted({{0, 0.0}, {1, 0.0}}));
-  EXPECT_EQ(ctrl.FallbackMachine(0, 2, 1.0), -1);
+  EXPECT_EQ(ctrl.FallbackMachine(0, 0, 2, 1.0), -1);
+  EXPECT_EQ(ctrl.FallbackMachine(1, 5, 2, 1.0), -1);
 }
 
 TEST(RevocationControllerTest, OriginAccumulatesAcrossJobs) {
@@ -259,6 +272,51 @@ TEST(SimRevocationTest, RevocationKillsInFlightWorkAndSlowsTheJob) {
   }
   EXPECT_EQ(metrics.counter("cluster.revoked.machines")->Value(), 1);
   EXPECT_GE(metrics.counter("cluster.revoked.tasks")->Value(), 1);
+}
+
+TEST(RevocationPlacementTest, BothEnginesSpreadARevokedMachinesTasks) {
+  // Machine 3 of 4 x 2 is revoked from the start, so every task placed on
+  // it moves before its first attempt. Both engines relocate by
+  // FallbackMachine, so each task lands on the same survivor in both, and
+  // machine 3's tasks spread over the survivors.
+  const ClusterConfig cluster{MachineProfile{}, 4, 2};
+  constexpr int kTasks = 32;
+  JobSpec job = MakeSimJob(kTasks, 0.01);
+  for (Task& task : job.tasks) {
+    task.work = [](int) { return Status::OK(); };
+  }
+  const std::vector<int> placed = PlaceTasks(
+      job, cluster.num_machines, cluster.slots_per_machine, true);
+
+  RevocationController sim_ctrl(RevocationSchedule::Scripted({{3, 0.0}}));
+  SimEngineOptions sim_options;
+  sim_options.revocation = &sim_ctrl;
+  SimEngine sim(cluster, sim_options);
+  auto sim_stats = sim.RunJob(job);
+  ASSERT_TRUE(sim_stats.ok()) << sim_stats.status();
+
+  RevocationController real_ctrl(RevocationSchedule::Scripted({{3, 0.0}}));
+  RealEngineOptions real_options;
+  real_options.revocation = &real_ctrl;
+  RealEngine real(cluster, real_options);
+  auto real_stats = real.RunJob(job);
+  ASSERT_TRUE(real_stats.ok()) << real_stats.status();
+
+  ASSERT_EQ(sim_stats->task_runs.size(), static_cast<size_t>(kTasks));
+  ASSERT_EQ(real_stats->task_runs.size(), static_cast<size_t>(kTasks));
+  std::set<int> survivors;
+  int moved = 0;
+  for (int t = 0; t < kTasks; ++t) {
+    const int machine = sim_stats->task_runs[t].machine;
+    EXPECT_EQ(real_stats->task_runs[t].machine, machine) << "task " << t;
+    EXPECT_NE(machine, 3) << "task " << t;
+    if (placed[t] == 3) {
+      ++moved;
+      survivors.insert(machine);
+    }
+  }
+  EXPECT_GT(moved, 0);
+  EXPECT_GE(survivors.size(), 2u);
 }
 
 TEST(SimRevocationTest, SeededScheduleReplaysBitIdentically) {

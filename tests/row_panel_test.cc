@@ -211,14 +211,15 @@ TEST(RowPanelPlanTest, GnmfPlanIsUnchanged) {
   w.inputs.emplace("W", DenseMatrix::Uniform(spec.m, spec.k, &rng));
   w.inputs.emplace("H", DenseMatrix::Uniform(spec.k, spec.n, &rng));
   // No chain applies, byte for byte; (W^T W) H and W (H H^T) are product
-  // steps of the updates that divide by them.
+  // steps of the updates that divide by them. The three multiplies by a
+  // one-tile-column operand leave their row groups to the build (bi=0).
   EXPECT_EQ(
       LowerOrDie(w).plan.DebugString(),
-      "MatMul[mm_tmp_0] tmp_0 = W^T * W (bi=1,bj=1,bk=-1)\n"
+      "MatMul[mm_tmp_0] tmp_0 = W^T * W (bi=0,bj=1,bk=-1)\n"
       "MatMul[mm_H@v1] H@v1 = W^T * V (bi=1,bj=1,bk=-1) "
       "epi{div(v, tmp_0*H) . mul(H, v)}\n"
-      "MatMul[mm_tmp_1] tmp_1 = H@v1 * H@v1^T (bi=1,bj=1,bk=-1)\n"
-      "MatMul[mm_W@v1] W@v1 = V * H@v1^T (bi=1,bj=1,bk=-1) "
+      "MatMul[mm_tmp_1] tmp_1 = H@v1 * H@v1^T (bi=0,bj=1,bk=-1)\n"
+      "MatMul[mm_W@v1] W@v1 = V * H@v1^T (bi=0,bj=1,bk=-1) "
       "epi{div(v, W*tmp_1) . mul(W, v)}\n");
 }
 

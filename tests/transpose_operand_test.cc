@@ -163,7 +163,7 @@ void LowerAndRun(const Program& program, const std::vector<TiledMatrix>& inputs,
   LoweringOptions lowering;
   lowering.tile_dim = kTile;
   if (config.split_k) {
-    lowering.mm_params = [](int64_t, int64_t, int64_t) {
+    lowering.mm_params = [](const TileLayout&, const TileLayout&) {
       return MatMulParams{2, 2, 1};
     };
   }

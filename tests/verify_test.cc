@@ -204,7 +204,7 @@ TEST(VerifyPlanTest, DuplicateProducerCaught) {
 TEST(VerifyPlanTest, MalformedSplitCaught) {
   PhysicalPlan plan;
   CUMULON_CHECK(AddMatMul(Square("A", 32), Square("B", 32), Square("T", 32),
-                          MatMulParams{0, 1, 0}, {}, &plan)
+                          MatMulParams{-1, 1, 0}, {}, &plan)
                     .ok());
   const VerifyReport report = VerifyPlan(plan, ExternalOptions({"A", "B"}));
   ASSERT_FALSE(report.ok());
@@ -215,7 +215,13 @@ TEST(VerifySplitTest, StandaloneScreening) {
   EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{1, 1, 0}).ok());
   EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{2, 4, 8}, 16, 16, 16).ok());
   EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{3, 3, 5}, 16, 16, 16).ok());
-  EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{0, 1, 0})
+  // bi = 0 is the documented "sized for the cluster" value; a negative
+  // bi is still malformed.
+  EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{0, 1, 0}).ok());
+  EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{0, 1, 0}, 7, 1, 3).ok());
+  EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{-1, 1, 0})
+                  .Has("verify.split"));
+  EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{-1, 1, 0}, 7, 1, 3)
                   .Has("verify.split"));
   EXPECT_TRUE(VerifyMatMulSplit(MatMulParams{1, 0, 0})
                   .Has("verify.split"));
