@@ -15,9 +15,16 @@ int64_t TileBytes(const TileLayout& layout, int64_t gr, int64_t gc) {
   return 16 + layout.TileRowsAt(gr) * layout.TileColsAt(gc) * 8;
 }
 
-double SortCpu(const MrOptions& options, int64_t bytes) {
-  return options.sort_cpu_seconds_per_mb * bytes / 1e6;
-}
+// Task granularity of the Hadoop jobs: input tiles per map task, output
+// tiles per reduce task (RMM's reducers and CPMM's summing job), and k
+// blocks per CPMM job-1 reducer.
+constexpr int64_t kTilesPerMapTask = 8;
+constexpr int64_t kCTilesPerReduceTask = 1;
+constexpr int64_t kKPerReduceTask = 1;
+
+// Sort/merge CPU on the reference machine: 0.02 s per shuffled MB, for the
+// map and the reduce side of a Hadoop shuffle sort together.
+double SortCpu(int64_t bytes) { return 0.02 * bytes / 1e6; }
 
 Status ValidateShapes(const TiledMatrix& a, const TiledMatrix& b,
                       const TiledMatrix& out) {
@@ -66,8 +73,7 @@ void Accumulate(const JobStats& stats, MrRunStats* totals) {
 /// directly in real mode).
 JobSpec BuildMapPhase(const std::string& job_name, const TiledMatrix& m1,
                       int64_t replication1, const TiledMatrix* m2,
-                      int64_t replication2, TileStore* store,
-                      const MrOptions& options) {
+                      int64_t replication2, TileStore* store) {
   JobSpec job;
   job.name = job_name;
   struct Item {
@@ -88,7 +94,7 @@ JobSpec BuildMapPhase(const std::string& job_name, const TiledMatrix& m1,
       }
     }
   }
-  const int64_t per_task = std::max<int64_t>(options.tiles_per_map_task, 1);
+  const int64_t per_task = kTilesPerMapTask;
   for (size_t base = 0; base < items.size();
        base += static_cast<size_t>(per_task)) {
     Task task;
@@ -100,7 +106,7 @@ JobSpec BuildMapPhase(const std::string& job_name, const TiledMatrix& m1,
           TileBytes(item.m->layout, item.id.row, item.id.col);
       task.cost.bytes_read += bytes;
       task.cost.local_spill_bytes += bytes * item.repl;
-      task.cost.cpu_seconds_ref += SortCpu(options, bytes * item.repl);
+      task.cost.cpu_seconds_ref += SortCpu(bytes * item.repl);
     }
     task.preferred_machines =
         store->PreferredNodes(items[base].m->name, items[base].id);
@@ -135,8 +141,7 @@ Result<MrRunStats> RunRmm(const TiledMatrix& a, const TiledMatrix& b,
   // Map phase: A tiles fan out to all gj reducer columns, B tiles to all
   // gi reducer rows.
   JobSpec map_job =
-      BuildMapPhase(StrCat("rmm_map_", out.name), a, gj, &b, gi, store,
-                    options);
+      BuildMapPhase(StrCat("rmm_map_", out.name), a, gj, &b, gi, store);
   CUMULON_ASSIGN_OR_RETURN(JobStats map_stats, engine->RunJob(map_job));
   Accumulate(map_stats, &totals);
   totals.num_jobs = 1;
@@ -146,8 +151,7 @@ Result<MrRunStats> RunRmm(const TiledMatrix& a, const TiledMatrix& b,
   JobSpec reduce_job;
   reduce_job.name = StrCat("rmm_reduce_", out.name);
   std::vector<std::vector<TileOutput>> outputs;
-  const int64_t per_task =
-      std::max<int64_t>(options.c_tiles_per_reduce_task, 1);
+  const int64_t per_task = kCTilesPerReduceTask;
   std::vector<TileId> c_tiles;
   for (int64_t i = 0; i < gi; ++i) {
     for (int64_t j = 0; j < gj; ++j) c_tiles.push_back(TileId{i, j});
@@ -169,7 +173,7 @@ Result<MrRunStats> RunRmm(const TiledMatrix& a, const TiledMatrix& b,
             a.layout.TileColsAt(k));
       }
       task.cost.shuffle_bytes += in_bytes;
-      task.cost.cpu_seconds_ref += SortCpu(options, in_bytes);
+      task.cost.cpu_seconds_ref += SortCpu(in_bytes);
       const int64_t out_bytes = TileBytes(out.layout, id.row, id.col);
       task.cost.bytes_written += out_bytes;
       task_outs.push_back(TileOutput{out.name, id, out_bytes});
@@ -224,14 +228,14 @@ Result<MrRunStats> RunCpmm(const TiledMatrix& a, const TiledMatrix& b,
 
   // ---- MR job 1: group by k, emit full partial products C^(k). ----
   JobSpec map1 = BuildMapPhase(StrCat("cpmm_map1_", out.name), a, 1, &b, 1,
-                               store, options);
+                               store);
   CUMULON_ASSIGN_OR_RETURN(JobStats map1_stats, engine->RunJob(map1));
   Accumulate(map1_stats, &totals);
 
   JobSpec reduce1;
   reduce1.name = StrCat("cpmm_reduce1_", out.name);
   std::vector<std::vector<TileOutput>> outputs1;
-  const int64_t k_per_task = std::max<int64_t>(options.k_per_reduce_task, 1);
+  const int64_t k_per_task = kKPerReduceTask;
   for (int64_t k0 = 0; k0 < gk; k0 += k_per_task) {
     const int64_t k1 = std::min(k0 + k_per_task, gk);
     Task task;
@@ -242,7 +246,7 @@ Result<MrRunStats> RunCpmm(const TiledMatrix& a, const TiledMatrix& b,
       for (int64_t i = 0; i < gi; ++i) in_bytes += TileBytes(a.layout, i, k);
       for (int64_t j = 0; j < gj; ++j) in_bytes += TileBytes(b.layout, k, j);
       task.cost.shuffle_bytes += in_bytes;
-      task.cost.cpu_seconds_ref += SortCpu(options, in_bytes);
+      task.cost.cpu_seconds_ref += SortCpu(in_bytes);
       for (int64_t i = 0; i < gi; ++i) {
         for (int64_t j = 0; j < gj; ++j) {
           task.cost.cpu_seconds_ref += cost.GemmSeconds(
@@ -299,7 +303,7 @@ Result<MrRunStats> RunCpmm(const TiledMatrix& a, const TiledMatrix& b,
       for (int64_t j = 0; j < gj; ++j) tiles.push_back(TileId{i, j});
     }
     // One map task per partial-k over a stripe of tiles.
-    const int64_t per_task = std::max<int64_t>(options.tiles_per_map_task, 1);
+    const int64_t per_task = kTilesPerMapTask;
     for (int64_t k = 0; k < gk; ++k) {
       for (size_t base = 0; base < tiles.size();
            base += static_cast<size_t>(per_task)) {
@@ -311,7 +315,7 @@ Result<MrRunStats> RunCpmm(const TiledMatrix& a, const TiledMatrix& b,
               TileBytes(out.layout, tiles[t].row, tiles[t].col);
           task.cost.bytes_read += bytes;
           task.cost.local_spill_bytes += bytes;
-          task.cost.cpu_seconds_ref += SortCpu(options, bytes);
+          task.cost.cpu_seconds_ref += SortCpu(bytes);
         }
         task.preferred_machines =
             store->PreferredNodes(partial_name(k), tiles[base]);
@@ -326,8 +330,7 @@ Result<MrRunStats> RunCpmm(const TiledMatrix& a, const TiledMatrix& b,
   reduce2.name = StrCat("cpmm_reduce2_", out.name);
   std::vector<std::vector<TileOutput>> outputs2;
   {
-    const int64_t per_task =
-        std::max<int64_t>(options.c_tiles_per_reduce_task, 1);
+    const int64_t per_task = kCTilesPerReduceTask;
     std::vector<TileId> tiles;
     for (int64_t i = 0; i < gi; ++i) {
       for (int64_t j = 0; j < gj; ++j) tiles.push_back(TileId{i, j});
@@ -343,7 +346,7 @@ Result<MrRunStats> RunCpmm(const TiledMatrix& a, const TiledMatrix& b,
         const int64_t bytes = TileBytes(out.layout, id.row, id.col);
         task.cost.shuffle_bytes += bytes * gk;
         task.cost.cpu_seconds_ref +=
-            SortCpu(options, bytes * gk) +
+            SortCpu(bytes * gk) +
             gk * cost.AccumulateSeconds(out.layout.TileRowsAt(id.row) *
                                         out.layout.TileColsAt(id.col));
         task.cost.bytes_written += bytes;

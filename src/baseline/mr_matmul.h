@@ -30,14 +30,6 @@ enum class MrStrategy { kRmm, kCpmm };
 const char* MrStrategyName(MrStrategy s);
 
 struct MrOptions {
-  int64_t tiles_per_map_task = 8;
-  int64_t c_tiles_per_reduce_task = 1;  // RMM reducer granularity
-  int64_t k_per_reduce_task = 1;        // CPMM job-1 reducer granularity
-
-  /// Sort/merge CPU on the reference machine per shuffled byte (both map
-  /// and reduce side of a Hadoop shuffle sort).
-  double sort_cpu_seconds_per_mb = 0.02;
-
   /// Per-MR-job submission overhead (Hadoop job startup).
   double job_startup_seconds = 3.0;
 

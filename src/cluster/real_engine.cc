@@ -10,7 +10,6 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/task_io_stats.h"
-#include "sched/slot_pool.h"
 
 namespace cumulon {
 
@@ -101,13 +100,6 @@ Result<JobStats> RealEngine::RunJob(const JobSpec& job) {
     if (job.cancel != nullptr &&
         job.cancel->load(std::memory_order_relaxed)) {
       cancelled = true;
-      break;
-    }
-    // Multi-tenant mode: lease one slot per in-flight task. This driver
-    // thread blocks while the plan is at its share; workers never block.
-    if (job.slot_pool != nullptr &&
-        !job.slot_pool->Acquire(job.plan_id, job.cancel)) {
-      cancelled = true;  // cancel flag flipped while waiting for a slot
       break;
     }
     const Task& task = job.tasks[i];
@@ -219,7 +211,6 @@ Result<JobStats> RealEngine::RunJob(const JobSpec& job) {
         }
         tracer->AddSpan(std::move(span));
       }
-      if (job.slot_pool != nullptr) job.slot_pool->Release(job.plan_id);
       MutexLock lock(&sync.mu);
       if (--sync.remaining == 0) sync.done_cv.NotifyAll();
     });

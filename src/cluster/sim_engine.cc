@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "cost/cost_model.h"
-#include "sched/slot_pool.h"
 
 namespace cumulon {
 
@@ -89,12 +88,13 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
 
   const int machines = config_.num_machines;
   int slots = config_.slots_per_machine;
-  // Under a slot pool the plan only gets its fair share of the cluster;
-  // model that as proportionally fewer slots per machine (at least one in
-  // total, rounded up so a share never silently widens).
-  if (job.slot_pool != nullptr) {
-    const int allowed = std::clamp(job.slot_pool->FairShare(job.plan_id), 1,
-                                   config_.total_slots());
+  // Under a slot share the plan only gets part of the cluster; model that
+  // as proportionally fewer slots per machine (at least one in total,
+  // rounded up so a share never silently widens). Read after run_mu_, so
+  // the share is the one in force when this job's turn comes.
+  if (job.slot_share != nullptr) {
+    const int allowed =
+        std::clamp(job.slot_share->load(), 1, config_.total_slots());
     slots = std::max(1, (allowed + machines - 1) / machines);
   }
 
@@ -115,8 +115,8 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
   // The real engine's schedule: every task on the machine PlaceTasks gives
   // it, started in index order by the earliest-free of machines x slots
   // lanes (its shared FIFO worker pool). A lane is not tied to a machine.
-  // A slot-pool share narrows the lanes but not the placement, which the
-  // real engine also makes from the whole cluster's slots.
+  // A slot share narrows the lanes but not the placement, which the real
+  // engine also makes from the whole cluster's slots.
   const std::vector<int> placement = PlaceTasks(
       job, machines, config_.slots_per_machine, options_.locality_aware);
   std::vector<double> lane_free(static_cast<size_t>(machines) * slots, 0.0);
@@ -180,15 +180,16 @@ Result<JobStats> SimEngine::RunJob(const JobSpec& job) {
       }
     }
 
-    // Failed attempts waste their whole duration and rerun.
+    // Failed attempts waste their whole duration and rerun; the fourth
+    // consecutive failure fails the job, as in Hadoop.
+    constexpr int kMaxTaskAttempts = 4;
     int attempts = 1;
     if (options_.task_failure_probability > 0.0) {
       attempts = DrawTaskAttempts(&rng_, options_.task_failure_probability,
-                                  options_.max_task_attempts);
+                                  kMaxTaskAttempts);
       if (attempts == 0) {
-        return Status::Internal(
-            StrCat("task '", task.name, "' failed ",
-                   options_.max_task_attempts, " attempts"));
+        return Status::Internal(StrCat("task '", task.name, "' failed ",
+                                       kMaxTaskAttempts, " attempts"));
       }
       duration *= attempts;
     }

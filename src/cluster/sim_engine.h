@@ -43,11 +43,9 @@ struct SimEngineOptions {
   bool speculative_execution = false;
 
   /// Probability that one task attempt fails (lost node, bad disk). A
-  /// failed attempt wastes its full duration and is retried; after
-  /// `max_task_attempts` consecutive failures the job fails, as in
-  /// Hadoop.
+  /// failed attempt wastes its full duration and is retried; after 4
+  /// consecutive failures the job fails, as in Hadoop.
   double task_failure_probability = 0.0;
-  int max_task_attempts = 4;
 
   /// Model a node-local tile cache: the engine owns per-machine cache
   /// instances (sized like the real engine's — machine memory minus the
@@ -121,9 +119,9 @@ int DrawTaskAttempts(Rng* rng, double failure_probability, int max_attempts);
 ///
 /// RunJob is safe to call from concurrent plans: runs serialize on an
 /// internal mutex (virtual clocks cannot interleave task-by-task), and a
-/// job arriving with a JobSpec::slot_pool is simulated on the plan's fair
-/// share of the slots instead of the whole cluster, which is how slot
-/// contention between concurrent tenants is modeled.
+/// job arriving with a JobSpec::slot_share is simulated on that many of
+/// the slots instead of the whole cluster, which is how slot contention
+/// between concurrent tenants is modeled.
 class SimEngine : public Engine {
  public:
   SimEngine(const ClusterConfig& config, const SimEngineOptions& options);

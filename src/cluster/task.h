@@ -11,8 +11,6 @@
 
 namespace cumulon {
 
-class SlotPool;  // sched/slot_pool.h; engines only hold a borrowed pointer
-
 /// Declared resource demands of one task, used by the simulator / cost
 /// model to derive its duration on a given machine.
 ///
@@ -62,13 +60,20 @@ struct JobSpec {
   int64_t plan_id = -1;
   std::string plan_tag;
 
-  /// Arbitrates the cluster's slots across concurrently running plans.
-  /// The real engine leases one slot per in-flight task; the sim engine
-  /// simulates on the plan's fair share. Borrowed; null = exclusive slots.
-  SlotPool* slot_pool = nullptr;
+  /// Slots of the cluster this job may use while other plans run (the
+  /// WorkloadManager's share). The sim engine reads it once per job, after
+  /// it serializes the job, and simulates on that many slots. The real
+  /// engine ignores it: its pool has exactly machines x slots workers, so
+  /// the tasks of all plans together never exceed the cluster's slots,
+  /// and they are served in FIFO order. Borrowed; null = the whole
+  /// cluster.
+  const std::atomic<int>* slot_share = nullptr;
 
-  /// Checked between tasks: when it flips true the engine stops launching
-  /// work and returns Status::Cancelled. Borrowed; null = not cancellable.
+  /// Checked before each task is launched: when it flips true the engine
+  /// stops launching work and returns Status::Cancelled. The real engine
+  /// submits all of a job's tasks at once and waits for those it
+  /// submitted, so in practice a cancelled real plan stops between jobs.
+  /// Borrowed; null = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
 
   /// Trace span id of the enclosing job span (Executor::BeginJobTrace);
@@ -84,9 +89,9 @@ struct JobSpec {
 /// after the job's completion latch observed every task finish — the latch
 /// mutex (RealEngine's JobSync) publishes the writes, so no field here
 /// needs its own guard. JobSpec is immutable while a job runs; the two
-/// borrowed channels that ARE touched concurrently are `slot_pool`
-/// (internally synchronized, sched/slot_pool.h) and `cancel` (an atomic
-/// the submitter flips while engines poll it).
+/// borrowed channels that ARE touched concurrently are `slot_share` (an
+/// atomic the WorkloadManager rewrites as plans start and finish) and
+/// `cancel` (an atomic the submitter flips while engines poll it).
 struct TaskRunInfo {
   int machine = -1;
   /// Execution lane: one of the cluster's machines x slots lanes, in both

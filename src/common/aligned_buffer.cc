@@ -1,30 +1,14 @@
 #include "common/aligned_buffer.h"
 
-#include <atomic>
-
 namespace cumulon {
-
-namespace {
-std::atomic<FirstTouchHook> g_first_touch_hook{nullptr};
-}  // namespace
-
-void SetFirstTouchHook(FirstTouchHook hook) {
-  g_first_touch_hook.store(hook, std::memory_order_release);
-}
-
-FirstTouchHook GetFirstTouchHook() {
-  return g_first_touch_hook.load(std::memory_order_acquire);
-}
 
 namespace aligned_internal {
 
 void* Allocate(std::size_t bytes) {
   const std::size_t padded = static_cast<std::size_t>(
       AlignedFootprintBytes(static_cast<std::int64_t>(bytes)));
-  void* p = ::operator new(padded == 0 ? kCacheLineBytes : padded,
-                           std::align_val_t{kCacheLineBytes});
-  if (FirstTouchHook hook = GetFirstTouchHook()) hook(p, padded);
-  return p;
+  return ::operator new(padded == 0 ? kCacheLineBytes : padded,
+                        std::align_val_t{kCacheLineBytes});
 }
 
 void Deallocate(void* p, std::size_t bytes) noexcept {

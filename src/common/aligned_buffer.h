@@ -44,16 +44,6 @@ void* Allocate(std::size_t bytes);
 void Deallocate(void* p, std::size_t bytes) noexcept;
 }  // namespace aligned_internal
 
-/// First-touch placement hook: invoked once per fresh aligned allocation
-/// with the new region before it is handed to the container. The default is
-/// a no-op; a NUMA-aware build can install a hook that touches (or
-/// `mbind`s) pages from the worker that will own the tile, so first-touch
-/// policy places them on the local node. Installation is process-wide and
-/// expected at startup, before worker threads allocate.
-using FirstTouchHook = void (*)(void* data, std::size_t bytes);
-void SetFirstTouchHook(FirstTouchHook hook);
-FirstTouchHook GetFirstTouchHook();
-
 /// std::allocator drop-in whose allocations are cache-line aligned and
 /// padded to whole lines. Used by Tile payload vectors and the kernel
 /// packing buffers.

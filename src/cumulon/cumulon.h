@@ -55,7 +55,6 @@
 #include "opt/predictor.h"
 #include "opt/search.h"
 #include "sched/elastic.h"
-#include "sched/slot_pool.h"
 #include "sched/workload_manager.h"
 #include "svc/catalog.h"
 #include "svc/client.h"

@@ -36,8 +36,8 @@ namespace cumulon {
 /// verified as usual and then offered to the reader's cache, whose
 /// admission rule may decline them (TileCache); Put and DeleteMatrix
 /// invalidate every node's cached copy before the DFS write so a cache can
-/// never serve stale data. Each request (Get, GetAsync, Prefetch) makes
-/// exactly one cache lookup, so the cache's counts and the store's cache.*
+/// never serve stale data. Each request (Get or GetAsync) makes exactly
+/// one cache lookup, so the cache's counts and the store's cache.*
 /// counters agree and a prefetched request is not counted twice.
 class DfsTileStore : public TileStore {
  public:
@@ -57,12 +57,12 @@ class DfsTileStore : public TileStore {
   /// relaxed atomic adds.
   void AttachMetrics(MetricsRegistry* metrics);
 
-  /// Turns on the asynchronous prefetch path: GetAsync/Prefetch fetch on a
+  /// Turns on the asynchronous prefetch path: GetAsync fetches on a
   /// bounded background pool instead of the calling thread, and concurrent
   /// requests for one (tile, node) coalesce onto a single DFS read whose
   /// result lands in the reader's tile cache. Without this call, GetAsync
-  /// degrades to a synchronous Get wrapped in a ready future. Futures and
-  /// hints issued through the async API must not outlive the store.
+  /// degrades to a synchronous Get wrapped in a ready future. Futures
+  /// issued through the async API must not outlive the store.
   void EnablePrefetch(int num_threads = 4);
 
   bool prefetch_enabled() const { return prefetch_pool_ != nullptr; }
@@ -73,8 +73,6 @@ class DfsTileStore : public TileStore {
                                           TileId id, int reader_node) override;
   TileFuture GetAsync(const std::string& matrix, TileId id,
                       int reader_node) override;
-  void Prefetch(const std::string& matrix, TileId id,
-                int reader_node) override;
   Status DeleteMatrix(const std::string& matrix) override;
   std::vector<int> PreferredNodes(const std::string& matrix,
                                   TileId id) override;
@@ -120,11 +118,10 @@ class DfsTileStore : public TileStore {
 
   /// Returns the (possibly coalesced) in-flight fetch state for
   /// (matrix tile, reader node), submitting a pool worker for new fetches.
-  /// `add_waiter` distinguishes GetAsync (a future will Await/Cancel) from
-  /// fire-and-forget Prefetch hints.
+  /// The caller's future is one more waiter on a coalesced state, and the
+  /// first waiter on a new one.
   std::shared_ptr<TileFetchState> StartFetch(const std::string& matrix,
-                                             TileId id, int reader_node,
-                                             bool add_waiter);
+                                             TileId id, int reader_node);
 
   SimDfs* dfs_;
   bool verify_checksums_;

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "sched/slot_pool.h"
 
 namespace cumulon {
 
@@ -130,7 +129,7 @@ Status Executor::CheckCancelled() const {
 void Executor::TagJobSpec(JobSpec* spec, int64_t trace_parent) const {
   spec->plan_id = options_.plan_id;
   spec->plan_tag = options_.plan_tag;
-  spec->slot_pool = options_.slot_pool;
+  spec->slot_share = options_.slot_share;
   spec->cancel = options_.cancel;
   spec->trace_parent_span = trace_parent;
 }

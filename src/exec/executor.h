@@ -17,8 +17,6 @@
 
 namespace cumulon {
 
-class SlotPool;  // sched/slot_pool.h
-
 struct ExecutorOptions {
   /// true: attach work closures and actually compute tiles (RealEngine).
   /// false: simulation only; output tile metadata is registered in the
@@ -96,12 +94,14 @@ struct ExecutorOptions {
   int64_t plan_id = -1;
   std::string plan_tag;
 
-  /// Slot arbiter shared with concurrently running plans, forwarded to the
-  /// engine with every job. Borrowed; null = exclusive slots.
-  SlotPool* slot_pool = nullptr;
+  /// Slots this plan's jobs are simulated on while other plans share the
+  /// cluster (the WorkloadManager's share), forwarded to the engine with
+  /// every job; see JobSpec::slot_share. Borrowed; null = the whole
+  /// cluster.
+  const std::atomic<int>* slot_share = nullptr;
 
   /// Cooperative cancellation: checked before each job and forwarded to
-  /// the engine (checked between tasks). When it flips true, Run returns
+  /// the engine (see JobSpec::cancel). When it flips true, Run returns
   /// Status::Cancelled. Borrowed; null = not cancellable.
   const std::atomic<bool>* cancel = nullptr;
 };
@@ -174,8 +174,10 @@ struct PlanStats {
 /// selected by ExecutorOptions::real_mode and the Engine implementation.
 ///
 /// Run is safe to call concurrently (same or different Executor instances
-/// over one shared engine/store): all per-run state lives on the stack,
-/// and the engines arbitrate slots through ExecutorOptions::slot_pool.
+/// over one shared engine/store): all per-run state lives on the stack.
+/// The simulator runs one job at a time, each on the plan's
+/// ExecutorOptions::slot_share; the real engine's tasks share its one
+/// worker pool in FIFO order.
 /// PlanStats::metrics and the per-job cache deltas in JobRecord::stats
 /// are best-effort under concurrency (the registry and the engine's cache
 /// counters are shared).
@@ -215,7 +217,7 @@ class Executor {
   /// Status::Cancelled when options_.cancel has flipped, OK otherwise.
   Status CheckCancelled() const;
 
-  /// Stamps the plan identity / slot pool / cancel flag / trace parent
+  /// Stamps the plan identity / slot share / cancel flag / trace parent
   /// onto a job spec about to be handed to the engine.
   void TagJobSpec(JobSpec* spec, int64_t trace_parent) const;
 

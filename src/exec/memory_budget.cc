@@ -49,11 +49,6 @@ void MemoryBudget::NoteUnpinnedRead(int64_t /*bytes*/) {
   ++counters_.unpinned_reads;
 }
 
-void MemoryBudget::NoteAcquireFailure() {
-  MutexLock lock(&mu_);
-  ++counters_.acquire_failures;
-}
-
 MemoryBudget::Counters MemoryBudget::counters() const {
   MutexLock lock(&mu_);
   return counters_;

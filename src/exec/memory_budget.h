@@ -53,8 +53,6 @@ class MemoryBudget {
   void NoteRefetch(int64_t bytes);
   /// A read could not be pinned at all and streamed through unpinned.
   void NoteUnpinnedRead(int64_t bytes);
-  /// A reservation attempt failed (budget pressure observed).
-  void NoteAcquireFailure();
 
   struct Counters {
     int64_t evictions = 0;

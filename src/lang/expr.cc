@@ -33,10 +33,6 @@ void Expr::MutateLeftForTest(const ExprPtr& node, ExprPtr new_left) {
   const_cast<Expr*>(node.get())->left_ = std::move(new_left);
 }
 
-void Expr::MutateRightForTest(const ExprPtr& node, ExprPtr new_right) {
-  const_cast<Expr*>(node.get())->right_ = std::move(new_right);
-}
-
 Result<ExprPtr> Expr::MatMul(ExprPtr a, ExprPtr b) {
   if (a == nullptr || b == nullptr) {
     return Status::InvalidArgument("MatMul: null operand");

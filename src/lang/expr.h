@@ -81,7 +81,6 @@ class Expr {
   /// place (the IR is otherwise immutable), letting mutation tests tie a
   /// cycle into the DAG. Never call outside tests.
   static void MutateLeftForTest(const ExprPtr& node, ExprPtr new_left);
-  static void MutateRightForTest(const ExprPtr& node, ExprPtr new_right);
 
  private:
   Expr(ExprKind kind, int64_t rows, int64_t cols)

@@ -160,15 +160,13 @@ class Lowerer {
         // target name really exists in the store.
         CUMULON_ASSIGN_OR_RETURN(TiledMatrix in, ResolveInput(expr));
         TiledMatrix out{out_name, in.layout};
-        CUMULON_RETURN_IF_ERROR(AddEwChain(in, out, {}, &plan_,
-                                           options_.ew_tiles_per_task));
+        CUMULON_RETURN_IF_ERROR(AddEwChain(in, out, {}, &plan_));
         return out;
       }
       case ExprKind::kTranspose: {
         CUMULON_ASSIGN_OR_RETURN(TiledMatrix in, LowerValue(expr->left()));
         TiledMatrix out{out_name, in.layout.Transposed()};
-        CUMULON_RETURN_IF_ERROR(AddTranspose(in, out, &plan_,
-                                             options_.ew_tiles_per_task));
+        CUMULON_RETURN_IF_ERROR(AddTranspose(in, out, &plan_));
         return out;
       }
       case ExprKind::kMatMul:
@@ -452,8 +450,7 @@ class Lowerer {
     CUMULON_ASSIGN_OR_RETURN(TiledMatrix base, LowerValue(spine.base));
     TiledMatrix out{out_name, base.layout};
     CUMULON_RETURN_IF_ERROR(CheckOperandLayouts(operands, out.layout));
-    CUMULON_RETURN_IF_ERROR(AddEwChain(base, out, std::move(steps), &plan_,
-                                       options_.ew_tiles_per_task));
+    CUMULON_RETURN_IF_ERROR(AddEwChain(base, out, std::move(steps), &plan_));
     return out;
   }
 

@@ -28,9 +28,6 @@ struct LoweringOptions {
   /// systems).
   bool enable_fusion = true;
 
-  /// Tiles per task for element-wise / transpose / sum jobs.
-  int64_t ew_tiles_per_task = 8;
-
   /// Reuse already-materialized subexpressions (e.g. a product that two
   /// assignments both need) instead of recomputing them.
   bool enable_cse = true;

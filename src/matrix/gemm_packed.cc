@@ -21,8 +21,6 @@
 namespace cumulon {
 namespace kernel_internal {
 
-bool PackedKernelCompiled() { return CUMULON_HAVE_X86_KERNELS != 0; }
-
 #if CUMULON_HAVE_X86_KERNELS
 
 #define CUMULON_TARGET_AVX2 __attribute__((target("avx2,fma")))

@@ -19,10 +19,9 @@
 namespace cumulon {
 namespace kernel_internal {
 
-/// True when this binary contains the vector kernels at all (x86-64 GCC or
-/// Clang build). When false, SimdKernelAvailable() is also false and the
-/// functions below abort if called.
-bool PackedKernelCompiled();
+/// A binary without the vector kernels (not an x86-64 GCC or Clang build)
+/// reports SimdKernelAvailable() false, and the functions below abort if
+/// called there.
 
 /// C = alpha*op(A)*op(B) + beta*C at one vector width (gemm_micro_kernel.h):
 /// C is beta-scaled once, then B is packed kc x nc at a time into

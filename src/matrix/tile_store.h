@@ -123,16 +123,6 @@ class TileStore {
     return TileFuture::Ready(Get(matrix, id, reader_node));
   }
 
-  /// Hint that `id` will be read soon by `reader_node`. Purely advisory —
-  /// the default is a no-op; prefetch-capable stores start a background
-  /// fetch that lands in the node's tile cache.
-  virtual void Prefetch(const std::string& matrix, TileId id,
-                        int reader_node) {
-    (void)matrix;
-    (void)id;
-    (void)reader_node;
-  }
-
   /// Drops all tiles of `matrix` (used to free intermediates).
   virtual Status DeleteMatrix(const std::string& matrix) = 0;
 

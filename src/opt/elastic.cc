@@ -26,12 +26,12 @@ Result<SpotWorkloadResult> RunSpotWorkload(
     const SpotWorkloadOptions& options) {
   SpotWorkloadResult result;
 
-  ElasticProvisioner provisioner(options.policy, options.spot_discount,
+  ElasticProvisioner provisioner(options.policy, kDefaultSpotDiscount,
                                  options.spot_hazard_per_hour,
                                  options.predictor.metrics);
   SpotPriceProcess price_process(options.seed);
   const MachineProfile spot_profile = SpotVariant(
-      options.machine, options.spot_discount, options.spot_hazard_per_hour);
+      options.machine, kDefaultSpotDiscount, options.spot_hazard_per_hour);
 
   FleetState fleet;
   fleet.machines = std::clamp(options.policy.min_machines, 1,
@@ -75,12 +75,13 @@ Result<SpotWorkloadResult> RunSpotWorkload(
       result.outcomes.push_back(std::move(outcome));
       continue;
     }
-    // Deadline admission: the work must fit before the deadline even with
-    // the policy's slack, on the current fleet.
+    // Deadline admission: the work must fit before the deadline on the
+    // current fleet with 15 % headroom.
+    constexpr double kDeadlineSlack = 1.15;
     double max_slowdown = 10.0;
     if (s.deadline_seconds > 0.0) {
       const double remaining = s.deadline_seconds - now;
-      const double needed = est.seconds * options.policy.deadline_slack;
+      const double needed = est.seconds * kDeadlineSlack;
       if (needed > remaining) {
         outcome.rejection =
             StrCat("estimated ", est.seconds, " s cannot meet deadline at t=",

@@ -25,11 +25,10 @@ struct SpotSubmission {
 /// Configuration of the elastic spot-provisioning workload runner.
 struct SpotWorkloadOptions {
   /// On-demand machine profile the fleet is built from; transient machines
-  /// are its SpotVariant under the terms below.
+  /// are its SpotVariant at kDefaultSpotDiscount and the hazard below.
   MachineProfile machine;
   int slots_per_machine = 2;
 
-  double spot_discount = kDefaultSpotDiscount;
   double spot_hazard_per_hour = kDefaultSpotHazardPerHour;
 
   /// Master switch: false pins every decision to all-on-demand (the static

@@ -89,23 +89,26 @@ FleetDecision ElasticProvisioner::Replan(const FleetState& current,
 ElasticFleetController::ElasticFleetController(
     const FleetState& initial, const ElasticControllerOptions& options)
     : options_(options),
-      provisioner_(options.policy, options.spot_discount,
-                   options.spot_hazard_per_hour, options.metrics),
+      provisioner_(options.policy, kDefaultSpotDiscount,
+                   kDefaultSpotHazardPerHour, options.metrics),
       fleet_(initial) {
   CUMULON_CHECK_GT(options_.slots_per_machine, 0);
 }
 
 FleetDecision ElasticFleetController::Tick(WorkloadManager* manager) {
+  // Each fleet is planned for a 120 s epoch and may carry at most a 1.25x
+  // expected revocation slowdown.
+  constexpr double kHorizonSeconds = 120.0;
+  constexpr double kMaxSlowdown = 1.25;
   const double backlog = manager->BacklogSeconds();
   FleetDecision decision;
   {
     MutexLock lock(&mu_);
-    decision = provisioner_.Replan(fleet_, backlog, options_.horizon_seconds,
-                                   options_.max_slowdown);
+    decision = provisioner_.Replan(fleet_, backlog, kHorizonSeconds,
+                                   kMaxSlowdown);
     fleet_ = decision.fleet;
   }
-  manager->slot_pool()->Resize(decision.fleet.machines *
-                               options_.slots_per_machine);
+  manager->ResizeSlots(decision.fleet.machines * options_.slots_per_machine);
   return decision;
 }
 

@@ -28,10 +28,6 @@ struct ElasticPolicy {
   /// At most this fraction of the fleet may be transient: a reserved
   /// on-demand core keeps the whole fleet from vanishing at once.
   double max_spot_fraction = 0.75;
-
-  /// Admission headroom: a deadline is treated as met only when the
-  /// slowdown-inflated estimate fits within deadline / deadline_slack.
-  double deadline_slack = 1.15;
 };
 
 /// The fleet a decision provisions: `machines` total, of which the last
@@ -93,29 +89,20 @@ class WorkloadManager;
 struct ElasticControllerOptions {
   ElasticPolicy policy;
 
-  /// Spot market the controller may buy from (cloud/machine.h defaults).
-  double spot_discount = kDefaultSpotDiscount;
-  double spot_hazard_per_hour = kDefaultSpotHazardPerHour;
-
-  /// Task slots each provisioned machine contributes to the SlotPool.
+  /// Task slots each provisioned machine adds to the manager's slot total.
   int slots_per_machine = 2;
-
-  /// Epoch length the provisioner plans each fleet for.
-  double horizon_seconds = 120.0;
-
-  /// Acceptable revocation-rework multiplier when mixing in spot machines.
-  double max_slowdown = 1.25;
 
   /// Destination of the sched.replan.* metrics. Borrowed; may be null.
   MetricsRegistry* metrics = nullptr;
 };
 
-/// Closes PR 7's loop: the provisioner that used to re-plan against the
-/// predictor's offline backlog now follows a live WorkloadManager. Each
-/// Tick reads the manager's actual queue backlog, asks the provisioner for
-/// the next fleet, and applies the decision by resizing the manager's
-/// SlotPool to machines x slots_per_machine — running plans keep their
-/// leases while the pool drains toward the new size.
+/// The provisioner above, following a live WorkloadManager. Each Tick
+/// reads the manager's actual queue backlog, asks the provisioner for the
+/// next fleet over a 120 s epoch (buying from cloud/machine.h's default
+/// spot market, with at most a 1.25x expected revocation slowdown), and
+/// applies the decision by resizing the manager's slot total to machines x
+/// slots_per_machine. Running plans pick the new share up at their next
+/// job.
 ///
 /// Thread-safe; the service daemon ticks it from a background thread.
 class ElasticFleetController {
@@ -124,7 +111,7 @@ class ElasticFleetController {
                          const ElasticControllerOptions& options);
 
   /// One control epoch: re-plan against `manager`'s BacklogSeconds() and
-  /// resize its slot pool. Returns the decision taken.
+  /// resize its slot total. Returns the decision taken.
   FleetDecision Tick(WorkloadManager* manager);
 
   FleetState fleet() const;

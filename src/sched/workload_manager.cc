@@ -55,14 +55,16 @@ WorkloadManager::WorkloadManager(TileStore* store, Engine* engine,
       options_(options),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &owned_metrics_),
-      slot_pool_(options.initial_slots > 0 ? options.initial_slots
-                                           : engine->config().total_slots()),
       started_(!options.defer_start),
+      total_slots_(options.initial_slots > 0 ? options.initial_slots
+                                             : engine->config().total_slots()),
+      slot_share_(total_slots_),
       wall_start_(std::chrono::steady_clock::now()) {
   CUMULON_CHECK(store_ != nullptr);
   CUMULON_CHECK(engine_ != nullptr);
   CUMULON_CHECK(cost_ != nullptr);
   CUMULON_CHECK_GT(options_.max_concurrent_plans, 0);
+  CUMULON_CHECK_GT(total_slots_, 0);
   workers_.reserve(options_.max_concurrent_plans);
   for (int i = 0; i < options_.max_concurrent_plans; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -80,9 +82,25 @@ double WorkloadManager::NowSecondsLocked() const {
       .count();
 }
 
-double WorkloadManager::NowSeconds() const {
+int WorkloadManager::SlotShare(int total_slots, int running_plans) {
+  if (running_plans <= 1) return total_slots;
+  return (total_slots + running_plans - 1) / running_plans;
+}
+
+void WorkloadManager::UpdateSlotShareLocked() {
+  slot_share_.store(SlotShare(total_slots_, running_));
+}
+
+int WorkloadManager::total_slots() const {
   MutexLock lock(&mu_);
-  return NowSecondsLocked();
+  return total_slots_;
+}
+
+void WorkloadManager::ResizeSlots(int total_slots) {
+  CUMULON_CHECK_GT(total_slots, 0);
+  MutexLock lock(&mu_);
+  total_slots_ = total_slots;
+  UpdateSlotShareLocked();
 }
 
 double WorkloadManager::BacklogSeconds() const {
@@ -147,8 +165,7 @@ Result<int64_t> WorkloadManager::Submit(Submission submission) {
           est.dollars, " exceeds budget $", submission.budget_dollars));
     }
     if (submission.deadline_seconds > 0.0) {
-      const double projected = BacklogSecondsLocked() +
-                               est.seconds * options_.admission_slack;
+      const double projected = BacklogSecondsLocked() + est.seconds;
       if (projected > submission.deadline_seconds) {
         metrics_->counter("sched.rejected")->Increment();
         metrics_->counter("sched.rejected.deadline")->Increment();
@@ -304,11 +321,6 @@ int WorkloadManager::queued_plans() const {
   return static_cast<int>(queue_.size());
 }
 
-int WorkloadManager::running_plans() const {
-  MutexLock lock(&mu_);
-  return running_;
-}
-
 WorkloadManager::PlanEntry* WorkloadManager::PickNextLocked() {
   if (queue_.empty()) return nullptr;
   const double now = NowSecondsLocked();
@@ -329,13 +341,16 @@ WorkloadManager::PlanEntry* WorkloadManager::PickNextLocked() {
         break;
       }
       case SchedPolicy::kEdf: {
+        // A deadline-less plan is due an hour after its submission, and
+        // every second of waiting tightens the effective deadline by 0.1 s.
+        constexpr double kNoDeadlineHorizonSeconds = 3600.0;
+        constexpr double kAgingRate = 0.1;
         const double effective_deadline =
             entry->outcome.deadline_abs_seconds > 0.0
                 ? entry->outcome.deadline_abs_seconds
-                : entry->outcome.submit_seconds +
-                      options_.no_deadline_horizon_seconds;
+                : entry->outcome.submit_seconds + kNoDeadlineHorizonSeconds;
         const double waited = now - entry->outcome.submit_seconds;
-        key = effective_deadline - options_.aging_rate * waited;
+        key = effective_deadline - kAgingRate * waited;
         break;
       }
     }
@@ -430,15 +445,15 @@ void WorkloadManager::WorkerLoop() {
       if (entry == nullptr) continue;
       entry->outcome.state = PlanState::kRunning;
       ++running_;
+      UpdateSlotShareLocked();
       metrics_->gauge("sched.running")->Set(running_);
       start = NowSecondsLocked();
     }
 
-    slot_pool_.RegisterPlan(entry->outcome.plan_id);
     ExecutorOptions exec_options = options_.executor;
     exec_options.plan_id = entry->outcome.plan_id;
     exec_options.plan_tag = entry->outcome.name;
-    exec_options.slot_pool = &slot_pool_;
+    exec_options.slot_share = &slot_share_;
     exec_options.cancel = &entry->cancel;
     if (exec_options.metrics == nullptr) exec_options.metrics = metrics_;
     if (exec_options.tracer == nullptr) exec_options.tracer = options_.tracer;
@@ -450,10 +465,10 @@ void WorkloadManager::WorkerLoop() {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_before)
             .count();
-    slot_pool_.UnregisterPlan(entry->outcome.plan_id);
 
     MutexLock lock(&mu_);
     --running_;
+    UpdateSlotShareLocked();
     metrics_->gauge("sched.running")->Set(running_);
     if (result.ok()) {
       // Virtual time: the plan occupied the cluster for its simulated

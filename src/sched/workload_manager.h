@@ -20,7 +20,6 @@
 #include "matrix/tile_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sched/slot_pool.h"
 
 namespace cumulon {
 
@@ -29,9 +28,9 @@ namespace cumulon {
 ///  - kFairShare: tenant with the least accumulated service time first
 ///    (FIFO within a tenant), so a heavy tenant cannot starve light ones.
 ///  - kEdf: earliest effective deadline first, with priority aging —
-///    every second a plan waits tightens its effective deadline by
-///    aging_rate seconds, so deadline-less plans (assigned
-///    no_deadline_horizon_seconds) cannot starve.
+///    every second a plan waits tightens its effective deadline by 0.1 s,
+///    so deadline-less plans (assigned a deadline one hour after their
+///    submission) cannot starve.
 enum class SchedPolicy { kFifo, kFairShare, kEdf };
 
 const char* SchedPolicyName(SchedPolicy policy);
@@ -92,7 +91,7 @@ struct PlanOutcome {
 struct WorkloadManagerOptions {
   SchedPolicy policy = SchedPolicy::kFifo;
 
-  /// Plans executing at once; their slot use is arbitrated by the pool.
+  /// Plans executing at once; each is simulated on its slot share.
   int max_concurrent_plans = 2;
 
   /// Reject submissions whose deadline/budget is infeasible given the
@@ -100,17 +99,6 @@ struct WorkloadManagerOptions {
   /// check, applied online per submission). Estimate-less submissions are
   /// always admitted.
   bool admission_control = true;
-
-  /// Safety multiplier on the estimated run time in the admission
-  /// projection (> 1 = conservative).
-  double admission_slack = 1.0;
-
-  /// EDF priority aging: effective deadline tightens by this many seconds
-  /// per second of queue wait.
-  double aging_rate = 0.1;
-
-  /// Effective deadline assigned to deadline-less plans under EDF.
-  double no_deadline_horizon_seconds = 3600.0;
 
   /// Manager clock: false = wall clock (real engines); true = virtual —
   /// time advances to each plan's simulated completion (sim engines), so
@@ -122,14 +110,14 @@ struct WorkloadManagerOptions {
   /// the whole queue before the policy picks an order.
   bool defer_start = false;
 
-  /// Initial SlotPool capacity; 0 = the engine's total_slots(). The
-  /// elastic fleet controller (sched/elastic.h) resizes the pool at run
-  /// time, so a service can start on a small fleet and grow toward the
-  /// engine's configured maximum under backlog.
+  /// Initial slot total; 0 = the engine's total_slots(). The elastic
+  /// fleet controller (sched/elastic.h) resizes it at run time, so a
+  /// service can start on a small fleet and grow toward the engine's
+  /// configured maximum under backlog.
   int initial_slots = 0;
 
   /// Template for every plan's executor (real_mode, startup latency,
-  /// parallelize_independent_jobs, ...). Its plan_id/plan_tag/slot_pool/
+  /// parallelize_independent_jobs, ...). Its plan_id/plan_tag/slot_share/
   /// cancel fields are overwritten per plan; its metrics/tracer default to
   /// the manager's when null.
   ExecutorOptions executor;
@@ -147,8 +135,8 @@ struct WorkloadManagerOptions {
 /// Accepts many concurrent plan submissions — each with an optional
 /// deadline and dollar budget — and executes them against one shared
 /// engine: cost-based admission control at Submit, policy-ordered dispatch
-/// onto max_concurrent_plans worker threads, slot arbitration through a
-/// SlotPool, cooperative cancellation, and per-tenant sched.* metrics.
+/// onto max_concurrent_plans worker threads, one slot share for every
+/// running plan, cooperative cancellation, and per-tenant sched.* metrics.
 ///
 /// This lifts the paper's one-shot time/budget-constrained optimization
 /// into an online service: the same predictor estimate that picked the
@@ -177,7 +165,8 @@ class WorkloadManager {
   void Start();
 
   /// Requests cancellation: a queued plan is dropped; a running plan stops
-  /// at the next task boundary and resolves to kCancelled. NotFound for
+  /// at the next task it would launch (on a real engine, in practice at the
+  /// next job; see JobSpec::cancel) and resolves to kCancelled. NotFound for
   /// unknown ids; FailedPrecondition if the plan already finished.
   Status Cancel(int64_t plan_id);
 
@@ -205,18 +194,30 @@ class WorkloadManager {
   /// further submissions.
   std::vector<PlanOutcome> Drain();
 
-  /// Seconds since the manager started, in the configured clock domain.
-  double NowSeconds() const;
-
   /// Estimated seconds of queued + running work, spread over the workers —
   /// the demand signal the elastic provisioner (sched/elastic.h) re-plans
   /// the fleet against.
   double BacklogSeconds() const;
 
-  SlotPool* slot_pool() { return &slot_pool_; }
+  /// Slots of the cluster the manager schedules on: options.initial_slots
+  /// (or the engine's total) until the first ResizeSlots.
+  int total_slots() const;
+
+  /// Retargets the slot total (the elastic controller's fleet decisions
+  /// land here: machines x slots_per_machine) and recomputes the share.
+  /// CHECK-fails unless `total_slots` > 0.
+  void ResizeSlots(int total_slots);
+
+  /// Slots each running plan's jobs are simulated on: SlotShare of the
+  /// slot total over the running plans.
+  int slot_share() const { return slot_share_.load(); }
+
+  /// The whole pool when at most one plan runs, else
+  /// ceil(total_slots / running_plans).
+  static int SlotShare(int total_slots, int running_plans);
+
   MetricsRegistry* metrics() { return metrics_; }
   int queued_plans() const;
-  int running_plans() const;
 
  private:
   /// All PlanEntry fields except `cancel` (atomic, flipped by Cancel while
@@ -240,6 +241,11 @@ class WorkloadManager {
   double BacklogSecondsLocked() const CUMULON_REQUIRES(mu_);
 
   double NowSecondsLocked() const CUMULON_REQUIRES(mu_);
+
+  /// Publishes SlotShare(total_slots_, running_) to slot_share_; called
+  /// wherever either of them changes.
+  void UpdateSlotShareLocked() CUMULON_REQUIRES(mu_);
+
   void FinishPlanLocked(PlanEntry* entry, PlanState state, Status status,
                         PlanStats stats, double start, double duration)
       CUMULON_REQUIRES(mu_);
@@ -250,7 +256,6 @@ class WorkloadManager {
   WorkloadManagerOptions options_;
   MetricsRegistry* metrics_;  // options_.metrics or &owned_metrics_
   MetricsRegistry owned_metrics_;
-  SlotPool slot_pool_;
 
   mutable Mutex mu_{"WorkloadManager::mu_"};
   CondVar work_cv_;      // queue released / new entry / stop
@@ -265,6 +270,11 @@ class WorkloadManager {
   std::map<std::string, double> tenant_service_seconds_
       CUMULON_GUARDED_BY(mu_);
   int running_ CUMULON_GUARDED_BY(mu_) = 0;
+  int total_slots_ CUMULON_GUARDED_BY(mu_);
+  // Written under mu_ by UpdateSlotShareLocked; every running plan's
+  // executor borrows it (ExecutorOptions::slot_share), and SimEngine reads
+  // it lock-free at the start of each job.
+  std::atomic<int> slot_share_;
   double virtual_now_seconds_ CUMULON_GUARDED_BY(mu_) = 0.0;
   std::chrono::steady_clock::time_point wall_start_;
   std::vector<std::thread> workers_;

@@ -42,8 +42,9 @@ DfsOptions MakeDfsOptions(const ServiceOptions& options) {
 }
 
 ClusterConfig MakeEngineCluster(const ServiceOptions& options) {
-  // The engine is provisioned for the elastic maximum; the SlotPool is the
-  // live fleet size, so scale-out is a pool resize, never an engine swap.
+  // The engine is provisioned for the elastic maximum; the manager's slot
+  // total is the live fleet size, so scale-out is a resize of that total,
+  // never an engine swap.
   return ClusterConfig{options.machine, options.elastic.max_machines,
                        options.slots_per_machine};
 }
@@ -159,11 +160,6 @@ CumulonService::CumulonService(const ServiceOptions& options)
 }
 
 CumulonService::~CumulonService() { StopReaper(); }
-
-bool CumulonService::draining() const {
-  MutexLock lock(&mu_);
-  return draining_;
-}
 
 bool CumulonService::drained() const {
   MutexLock lock(&mu_);
@@ -586,7 +582,7 @@ JsonValue CumulonService::HandleStats(const JsonValue&) {
       .Set("sessions", sessions_.open_sessions())
       .Set("fleet_machines", fleet.machines)
       .Set("fleet_spot", fleet.spot_machines)
-      .Set("fleet_slots", manager_.slot_pool()->total_slots());
+      .Set("fleet_slots", manager_.total_slots());
   return reply;
 }
 

@@ -50,8 +50,8 @@ struct ServiceOptions {
   MachineProfile machine;
 
   /// Elastic fleet bounds; the engine is provisioned for max_machines and
-  /// the SlotPool starts at initial_machines, so scale-out never needs a
-  /// new engine.
+  /// the manager's slot total starts at initial_machines, so scale-out
+  /// never needs a new engine.
   ElasticPolicy elastic;
   int slots_per_machine = 2;
   int initial_machines = 0;  // 0 = elastic.min_machines
@@ -122,9 +122,7 @@ class CumulonService {
   /// Connection teardown: closes the session (its plans keep running).
   void CloseSession(int64_t session_id);
 
-  /// True once a DRAIN request has begun/completed; the server stops
-  /// accepting connections when draining starts.
-  bool draining() const;
+  /// True once a DRAIN request has completed; the server then stops.
   bool drained() const;
 
   /// Queued-but-unstarted plans restored from the drain file at startup.

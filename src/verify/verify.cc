@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "common/strings.h"
 #include "exec/physical_job.h"
 
@@ -585,24 +584,6 @@ Status VerifyPlanStatus(const PhysicalPlan& plan,
                         const PlanVerifyOptions& options,
                         MetricsRegistry* metrics, Tracer* tracer) {
   return Finish(VerifyPlan(plan, options), "verify-plan", metrics, tracer);
-}
-
-void VerifyProgramOrDie(const Program& program,
-                        const LogicalVerifyOptions& options) {
-  const Status status = VerifyProgramStatus(program, options);
-  if (VerifyChecksAreFatal()) {
-    CUMULON_CHECK(status.ok()) << "logical IR verification failed:\n"
-                               << status.ToString();
-  }
-}
-
-void VerifyPlanOrDie(const PhysicalPlan& plan,
-                     const PlanVerifyOptions& options) {
-  const Status status = VerifyPlanStatus(plan, options);
-  if (VerifyChecksAreFatal()) {
-    CUMULON_CHECK(status.ok()) << "physical plan verification failed:\n"
-                               << status.ToString();
-  }
 }
 
 }  // namespace cumulon

@@ -186,14 +186,6 @@ Status VerifyPlanStatus(const PhysicalPlan& plan,
                         MetricsRegistry* metrics = nullptr,
                         Tracer* tracer = nullptr);
 
-/// Die-in-debug wrappers for internal compiler edges: CHECK-fail with the
-/// full report when VerifyChecksAreFatal(), otherwise just record the
-/// metrics (the caller's Status path handles release-mode degradation).
-void VerifyProgramOrDie(const Program& program,
-                        const LogicalVerifyOptions& options = {});
-void VerifyPlanOrDie(const PhysicalPlan& plan,
-                     const PlanVerifyOptions& options = {});
-
 }  // namespace cumulon
 
 #endif  // CUMULON_VERIFY_VERIFY_H_

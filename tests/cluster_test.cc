@@ -149,6 +149,35 @@ TEST(SimEngineTest, PartialLastWave) {
   EXPECT_NEAR(stats->duration_seconds, 4.0, 1e-9);  // 2 waves of 2s
 }
 
+TEST(SimEngineTest, JobRunsOnItsSlotShare) {
+  ClusterConfig c{TestMachine(), 4, 2};  // 8 slots
+  SimEngine engine(c, NoOverheadOptions());
+  JobSpec job;
+  job.name = "shared";
+  // Each task: 4/2 gflops = 2 s, no preferred machines.
+  for (int i = 0; i < 16; ++i) job.tasks.push_back(MakeTask(4.0));
+
+  // A share of 4 slots: 4 lanes, so 16 tasks take 4 task durations.
+  const std::atomic<int> share{4};
+  job.slot_share = &share;
+  auto shared = engine.RunJob(job);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  ASSERT_EQ(shared->task_runs.size(), 16u);
+  for (const TaskRunInfo& run : shared->task_runs) EXPECT_LT(run.slot, 4);
+  EXPECT_NEAR(shared->duration_seconds, 4 * 2.0, 1e-9);
+
+  // No share: the whole cluster's 8 lanes, 2 task durations.
+  job.slot_share = nullptr;
+  auto whole = engine.RunJob(job);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  int widest_lane = 0;
+  for (const TaskRunInfo& run : whole->task_runs) {
+    widest_lane = std::max(widest_lane, run.slot);
+  }
+  EXPECT_EQ(widest_lane, 7);
+  EXPECT_NEAR(whole->duration_seconds, 2 * 2.0, 1e-9);
+}
+
 TEST(SimEngineTest, EmptyJobIsInstant) {
   ClusterConfig c{TestMachine(), 1, 1};
   SimEngine engine(c, NoOverheadOptions());

@@ -180,23 +180,23 @@ TEST(DfsPrefetchTest, PrefetchLandsInTileCacheAndSecondReadHits) {
   store.EnablePrefetch(2);
   ASSERT_TRUE(store.Put("m", TileId{0, 0}, MakeTile(8, 8, 4.0), 0).ok());
 
-  store.Prefetch("m", TileId{0, 0}, 1);
-  // Wait for the background fetch to land in node 1's cache.
-  for (int spin = 0; spin < 1000 && caches.node(1)->Get(
-                                        DfsTileStore::TilePath(
-                                            "m", TileId{0, 0})) == nullptr;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // An awaited background fetch lands in node 1's cache.
+  auto fetched = store.GetAsync("m", TileId{0, 0}, 1).Await();
+  ASSERT_TRUE(fetched.ok()) << fetched.status();
+  EXPECT_EQ((*fetched)->At(0, 0), 4.0);
   const int64_t reads_after_prefetch = dfs.TotalStats().reads;
-  auto got = store.Get("m", TileId{0, 0}, 1);
-  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(metrics.Snapshot().CounterOr("prefetch.hit", 0), 0);
+
+  // A second request is answered from that cache: a ready future, no DFS
+  // read, and one prefetch.hit.
+  TileFuture second = store.GetAsync("m", TileId{0, 0}, 1);
+  EXPECT_TRUE(second.ready());
+  auto got = second.Await();
+  ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ((*got)->At(0, 0), 4.0);
   EXPECT_EQ(dfs.TotalStats().reads, reads_after_prefetch)
       << "second read should be served by the cache the prefetch filled";
-  // A cache-resident tile turns further hints into instant hits.
-  store.Prefetch("m", TileId{0, 0}, 1);
-  EXPECT_GE(metrics.Snapshot().CounterOr("prefetch.hit", 0), 1);
+  EXPECT_EQ(metrics.Snapshot().CounterOr("prefetch.hit", 0), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include "cluster/real_engine.h"
 #include "cluster/sim_engine.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "dfs/dfs_tile_store.h"
@@ -15,95 +16,30 @@
 #include "exec/physical_plan.h"
 #include "matrix/dense_matrix.h"
 #include "sched/elastic.h"
-#include "sched/slot_pool.h"
 #include "sched/workload_manager.h"
 
 namespace cumulon {
 namespace {
 
 // ---------------------------------------------------------------------------
-// SlotPool
+// Slot share
 // ---------------------------------------------------------------------------
 
-TEST(SlotPoolTest, SinglePlanGetsEverySlot) {
-  SlotPool pool(4);
-  pool.RegisterPlan(1);
-  EXPECT_EQ(pool.FairShare(1), 4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(pool.Acquire(1));
-  EXPECT_EQ(pool.held(1), 4);
-  EXPECT_EQ(pool.free_slots(), 0);
-  for (int i = 0; i < 4; ++i) pool.Release(1);
-  pool.UnregisterPlan(1);
-  EXPECT_EQ(pool.registered_plans(), 0);
+TEST(SlotShareTest, SinglePlanGetsEverySlot) {
+  EXPECT_EQ(WorkloadManager::SlotShare(4, 1), 4);
+  EXPECT_EQ(WorkloadManager::SlotShare(4, 0), 4);  // none running
 }
 
-TEST(SlotPoolTest, FairShareSplitsAcrossPlans) {
-  SlotPool pool(5);
-  pool.RegisterPlan(1);
-  pool.RegisterPlan(2);
-  EXPECT_EQ(pool.FairShare(1), 3);  // ceil(5/2)
-  pool.RegisterPlan(3);
-  EXPECT_EQ(pool.FairShare(1), 2);  // ceil(5/3)
-  pool.UnregisterPlan(2);
-  pool.UnregisterPlan(3);
-  EXPECT_EQ(pool.FairShare(1), 5);
-  pool.UnregisterPlan(1);
-}
-
-TEST(SlotPoolTest, WorkConservingWhenAlone) {
-  // One plan may exceed its fair share while no other plan waits.
-  SlotPool pool(4);
-  pool.RegisterPlan(1);
-  pool.RegisterPlan(2);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(pool.Acquire(1));
-  EXPECT_EQ(pool.held(1), 4);
-  pool.Release(1);
-  pool.Release(1);
-  pool.UnregisterPlan(1);
-  pool.UnregisterPlan(2);
-}
-
-TEST(SlotPoolTest, ReleaseWakesBlockedAcquire) {
-  SlotPool pool(1);
-  pool.RegisterPlan(1);
-  pool.RegisterPlan(2);
-  ASSERT_TRUE(pool.Acquire(1));
-  std::atomic<bool> acquired{false};
-  std::thread waiter([&] {
-    EXPECT_TRUE(pool.Acquire(2));
-    acquired.store(true);
-  });
-  EXPECT_FALSE(acquired.load());
-  pool.Release(1);
-  waiter.join();
-  EXPECT_TRUE(acquired.load());
-  EXPECT_EQ(pool.held(2), 1);
-  pool.Release(2);
-  pool.UnregisterPlan(1);
-  pool.UnregisterPlan(2);
-}
-
-TEST(SlotPoolTest, AcquireObservesCancellation) {
-  SlotPool pool(1);
-  pool.RegisterPlan(1);
-  pool.RegisterPlan(2);
-  ASSERT_TRUE(pool.Acquire(1));  // exhaust the pool
-  std::atomic<bool> cancel{false};
-  std::thread canceller([&] { cancel.store(true); });
-  EXPECT_FALSE(pool.Acquire(2, &cancel));  // returns instead of deadlocking
-  canceller.join();
-  pool.Release(1);
-  pool.UnregisterPlan(1);
-  pool.UnregisterPlan(2);
-}
-
-TEST(SlotPoolTest, UnregisterReportsLeakedSlots) {
-  SlotPool pool(2);
-  pool.RegisterPlan(7);
-  ASSERT_TRUE(pool.Acquire(7));
-  EXPECT_EQ(pool.free_slots(), 1);
-  pool.UnregisterPlan(7);
-  EXPECT_EQ(pool.free_slots(), 2);  // leaked slots returned to the pool
+TEST(SlotShareTest, FairShareSplitsAcrossPlans) {
+  struct Row {
+    int running;
+    int share;
+  };
+  // 5 slots: ceil(5 / running), and the whole pool when none run.
+  for (const Row& row : {Row{0, 5}, Row{1, 5}, Row{2, 3}, Row{3, 2}}) {
+    EXPECT_EQ(WorkloadManager::SlotShare(5, row.running), row.share)
+        << "5 slots over " << row.running << " running plans";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -167,6 +103,74 @@ class SchedSimTest : public ::testing::Test {
   TileOpCostModel cost_;
   std::unique_ptr<SimEngine> engine_;
 };
+
+/// Runs every job on `inner` and records the slot share it arrived with.
+/// The first `gate` jobs wait for one another before reading the share,
+/// and again before running, so plans that start together are all running
+/// when their shares are read.
+class ShareRecordingEngine : public Engine {
+ public:
+  ShareRecordingEngine(Engine* inner, int gate) : inner_(inner), gate_(gate) {}
+
+  Result<JobStats> RunJob(const JobSpec& job) override {
+    {
+      MutexLock lock(&mu_);
+      ++arrived_;
+      gate_cv_.NotifyAll();
+      while (arrived_ < gate_) gate_cv_.Wait(&mu_);
+      shares_.push_back(job.slot_share != nullptr ? job.slot_share->load()
+                                                  : -1);
+      gate_cv_.NotifyAll();
+      while (static_cast<int>(shares_.size()) < gate_) gate_cv_.Wait(&mu_);
+    }
+    return inner_->RunJob(job);
+  }
+
+  const ClusterConfig& config() const override { return inner_->config(); }
+
+  std::vector<int> shares() const {
+    MutexLock lock(&mu_);
+    return shares_;
+  }
+
+ private:
+  Engine* inner_;
+  const int gate_;
+  mutable Mutex mu_{"ShareRecordingEngine::mu_"};
+  CondVar gate_cv_;
+  int arrived_ CUMULON_GUARDED_BY(mu_) = 0;
+  std::vector<int> shares_ CUMULON_GUARDED_BY(mu_);
+};
+
+TEST_F(SchedSimTest, RunningPlansSplitTheSlotTotal) {
+  // Alone, a plan's job sees the whole 4 x 2 cluster.
+  {
+    ShareRecordingEngine engine(engine_.get(), /*gate=*/1);
+    WorkloadManagerOptions options = SimManagerOptions();
+    options.max_concurrent_plans = 1;
+    WorkloadManager manager(&store_, &engine, &cost_, options);
+    ASSERT_TRUE(manager.Submit(MakeSubmission("solo", 1024, 10.0, 0.1)).ok());
+    manager.Drain();
+    EXPECT_EQ(engine.shares(), std::vector<int>({8}));
+  }
+  // Two plans that run together each get ceil(8 / 2) slots, and the share
+  // is the whole pool again once neither runs.
+  ShareRecordingEngine engine(engine_.get(), /*gate=*/2);
+  WorkloadManagerOptions options = SimManagerOptions();
+  options.defer_start = true;
+  options.max_concurrent_plans = 2;
+  WorkloadManager manager(&store_, &engine, &cost_, options);
+  EXPECT_EQ(manager.slot_share(), 8);
+  for (const char* tag : {"p", "q"}) {
+    ASSERT_TRUE(manager.Submit(MakeSubmission(tag, 1024, 10.0, 0.1)).ok());
+  }
+  manager.Start();
+  for (const PlanOutcome& outcome : manager.Drain()) {
+    EXPECT_EQ(outcome.state, PlanState::kDone) << outcome.status;
+  }
+  EXPECT_EQ(engine.shares(), std::vector<int>({4, 4}));
+  EXPECT_EQ(manager.slot_share(), manager.total_slots());
+}
 
 TEST_F(SchedSimTest, RunsSubmissionsToCompletion) {
   WorkloadManager manager(&store_, engine_.get(), &cost_,
@@ -510,9 +514,8 @@ TEST(SchedStressTest, ConcurrentPlansMatchSerialBitForBit) {
   EXPECT_EQ(completed + cancelled, kPlans);
   EXPECT_EQ(metrics.counter("sched.completed")->Value(), completed);
   EXPECT_EQ(metrics.counter("sched.cancelled")->Value(), cancelled);
-  // Slot leases all returned.
-  EXPECT_EQ(manager.slot_pool()->free_slots(),
-            manager.slot_pool()->total_slots());
+  // No plan runs, so the share is the whole pool again.
+  EXPECT_EQ(manager.slot_share(), manager.total_slots());
 }
 
 // ---------------------------------------------------------------------------
@@ -605,8 +608,7 @@ TEST_F(SchedSimTest, DrainWithInFlightPlansFinishesThem) {
   // remainder completed.
   EXPECT_EQ(cancelled, static_cast<int>(pulled.size()));
   EXPECT_GE(done, 1);  // the dispatched head of the queue ran
-  EXPECT_EQ(manager.slot_pool()->free_slots(),
-            manager.slot_pool()->total_slots());
+  EXPECT_EQ(manager.slot_share(), manager.total_slots());
 }
 
 TEST_F(SchedSimTest, CancelRacingDrainStaysConsistent) {
@@ -643,8 +645,7 @@ TEST_F(SchedSimTest, CancelRacingDrainStaysConsistent) {
                 outcome.state == PlanState::kCancelled)
         << PlanStateName(outcome.state);
   }
-  EXPECT_EQ(manager.slot_pool()->free_slots(),
-            manager.slot_pool()->total_slots());
+  EXPECT_EQ(manager.slot_share(), manager.total_slots());
 }
 
 // ---------------------------------------------------------------------------
@@ -656,7 +657,7 @@ TEST_F(SchedSimTest, FleetControllerScalesPoolWithBacklog) {
   options.defer_start = true;  // hold the backlog steady while we tick
   options.initial_slots = 2;
   WorkloadManager manager(&store_, engine_.get(), &cost_, options);
-  EXPECT_EQ(manager.slot_pool()->total_slots(), 2);
+  EXPECT_EQ(manager.total_slots(), 2);
 
   ElasticControllerOptions controller_options;
   controller_options.policy.min_machines = 1;
@@ -666,7 +667,7 @@ TEST_F(SchedSimTest, FleetControllerScalesPoolWithBacklog) {
   ElasticFleetController controller(FleetState{1, 0}, controller_options);
 
   // An hour of queued work: the controller must buy machines and grow the
-  // manager's slot pool to match.
+  // manager's slot total to match.
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(
         manager.Submit(MakeSubmission(StrCat("b", i), 1024, 1800.0, 0.5))
@@ -676,9 +677,10 @@ TEST_F(SchedSimTest, FleetControllerScalesPoolWithBacklog) {
   const FleetDecision grow = controller.Tick(&manager);
   EXPECT_TRUE(grow.scaled_out);
   EXPECT_GT(grow.fleet.machines, 1);
-  EXPECT_EQ(manager.slot_pool()->total_slots(),
+  EXPECT_EQ(manager.total_slots(),
             grow.fleet.machines * controller_options.slots_per_machine);
-  EXPECT_EQ(controller.slots(), manager.slot_pool()->total_slots());
+  EXPECT_EQ(controller.slots(), manager.total_slots());
+  EXPECT_EQ(manager.slot_share(), manager.total_slots());  // none running
 
   // Backlog gone: the next tick shrinks back to the floor.
   manager.CancelAllQueued();
@@ -687,7 +689,8 @@ TEST_F(SchedSimTest, FleetControllerScalesPoolWithBacklog) {
   const FleetDecision shrink = controller.Tick(&manager);
   EXPECT_TRUE(shrink.scaled_in);
   EXPECT_EQ(shrink.fleet.machines, 1);
-  EXPECT_EQ(manager.slot_pool()->total_slots(), 2);
+  EXPECT_EQ(manager.total_slots(), 2);
+  EXPECT_EQ(manager.slot_share(), 2);
 }
 
 }  // namespace

@@ -46,6 +46,11 @@ Checks (all run by default; exit code 0 = clean):
    experiment's results, its bench or its row alone then fails tier-1
    instead of leaving the index and the benches out of step.
 
+6. Layering: no file under src/common, src/matrix, src/dfs, src/cluster
+   or src/exec may include a sched/ header. The workload manager sits
+   above the executor and the engines; they read its slot share through a
+   borrowed atomic (JobSpec::slot_share) and need nothing from src/sched.
+
 Usage:
   tools/cumulon_lint.py [--root REPO_ROOT]
   tools/cumulon_lint.py --self-test
@@ -87,6 +92,10 @@ VERIFY_EDGE_CONTRACT = (
 
 # A job build (`job->Build(ctx)`, `Build (`) anywhere under src/verify/.
 VERIFY_BUILD_CALL_RE = re.compile(r'\bBuild\s*\(')
+
+# Layers below the workload manager, and an include of a sched/ header.
+BELOW_SCHED_DIRS = ('common/', 'matrix/', 'dfs/', 'cluster/', 'exec/')
+SCHED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"sched/')
 
 # DESIGN.md's experiment index rows ("| E2 | ... | `bench_e2_split_sweep` |"),
 # EXPERIMENTS.md's section headings ("## E2 — ...") and the bench targets
@@ -195,6 +204,12 @@ def collect_code_usage(src_root):
                     f'{where}: Build() call under src/verify (tile coverage '
                     f'is checked on the build Executor::Run runs; a dry '
                     f'build here builds every job twice)')
+            if rel.startswith(BELOW_SCHED_DIRS) and SCHED_INCLUDE_RE.search(
+                    line):
+                violations.append(
+                    f'{where}: includes a sched/ header (src/{rel.split("/")[0]} '
+                    f'sits below the workload manager and must not depend '
+                    f'on src/sched)')
             if VOID_DISCARD_RE.search(line):
                 violations.append(
                     f'{where}: banned (void) cast of a call result (drop a '
@@ -655,6 +670,25 @@ def self_test():
                        'BuildContext Make();\n'})
     expect('Build() call outside src/verify stays legal', SELF_TEST_DOC,
            SELF_TEST_SRC + '\nauto b = job->Build(ctx);\n', want_clean=True)
+
+    # --- layering: nothing below the workload manager includes sched/ -----
+    expect('engine includes a sched/ header', SELF_TEST_DOC, SELF_TEST_SRC,
+           want_clean=False,
+           want_substring='cluster/e.cc:1: includes a sched/ header',
+           root_files={'src/cluster/e.cc': '#include "sched/slot_pool.h"\n'})
+    expect('executor includes a sched/ header', SELF_TEST_DOC,
+           SELF_TEST_SRC, want_clean=False,
+           want_substring='exec/x.h:2: includes a sched/ header',
+           root_files={'src/exec/x.h':
+                       '#include "cluster/engine.h"\n'
+                       '#  include "sched/workload_manager.h"\n'})
+    expect('sched/ named only in a comment below sched', SELF_TEST_DOC,
+           SELF_TEST_SRC, want_clean=True,
+           root_files={'src/exec/x.h':
+                       '// see #include "sched/workload_manager.h"\n'})
+    expect('layers above sched may include it', SELF_TEST_DOC,
+           SELF_TEST_SRC, want_clean=True,
+           root_files={'src/svc/s.cc': '#include "sched/elastic.h"\n'})
 
     # --- experiment contract ------------------------------------------------
     experiment_files = {'DESIGN.md': SELF_TEST_DESIGN,
